@@ -35,8 +35,8 @@ func (m *machine) step(th *thread) {
 		if f.isMethod {
 			// Method exit is a scheduling step of its own so that an
 			// injected end-of-method delay holds back the exit's effects.
-			if m.serveDelay(th, delayMarker{f: f, pc: -1}, 0,
-				trace.KeyFor(trace.KindEnd, f.method)) {
+			if m.perturbed() &&
+				m.serveDelay(th, delayMarker{f: f, pc: -1}, 0, opKey{trace.KindEnd, f.method}) {
 				return
 			}
 			th.stack = th.stack[:len(th.stack)-1]
@@ -46,9 +46,11 @@ func (m *machine) step(th *thread) {
 		th.stack = th.stack[:len(th.stack)-1]
 	}
 	s := f.stmts[f.pc]
-	if keys := delayKeysFor(s); len(keys) > 0 &&
-		m.serveDelay(th, delayMarker{f: f, pc: f.pc}, s.Site(), keys...) {
-		return
+	if m.perturbed() {
+		if ops, n := delayOps(s); n > 0 &&
+			m.serveDelay(th, delayMarker{f: f, pc: f.pc}, s.Site(), ops[:n]...) {
+			return
+		}
 	}
 	th.clock += m.dispatch()
 
@@ -488,70 +490,67 @@ func (m *machine) libEnd(th *thread, api string, site int, addr uint64, child in
 
 // res returns a stable resource id for a named lock/semaphore/queue.
 func (m *machine) res(kind, name string) uint64 {
-	return m.objID("$" + kind + "$" + name)
+	return m.object(objKey{kind, name})
 }
 
-// delayKeysFor returns the candidate keys a planned delay may target for a
-// statement: the keys whose operations this statement performs. Delays on
-// method-begin keys of forked delegates are served at the Call/Fork site's
-// granularity; the Perturber only ever delays release-capable keys, so this
-// covers every practical plan.
-func delayKeysFor(s Stmt) []trace.Key {
+// delayOps returns the candidate operations a planned delay may target for
+// a statement: the operations this statement performs, in ops[:n]. Delays
+// on method-begin keys of forked delegates are served at the Call/Fork
+// site's granularity; the Perturber only ever delays release-capable keys,
+// so this covers every practical plan.
+func delayOps(s Stmt) (ops [2]opKey, n int) {
 	switch st := s.(type) {
 	case *prog.Read:
-		return []trace.Key{trace.KeyFor(trace.KindRead, st.Field)}
+		return [2]opKey{{trace.KindRead, st.Field}}, 1
 	case *prog.Write:
-		return []trace.Key{trace.KeyFor(trace.KindWrite, st.Field)}
+		return [2]opKey{{trace.KindWrite, st.Field}}, 1
 	case *prog.Call:
-		return []trace.Key{trace.KeyFor(trace.KindBegin, st.Method)}
+		return [2]opKey{{trace.KindBegin, st.Method}}, 1
 	case *prog.AcquireLock:
-		return apiKeys(prog.APIMonitorEnter)
+		return apiOps(prog.APIMonitorEnter)
 	case *prog.ReleaseLock:
-		return apiKeys(prog.APIMonitorExit)
+		return apiOps(prog.APIMonitorExit)
 	case *prog.SemSet:
-		return apiKeys(prog.APISemSet)
+		return apiOps(prog.APISemSet)
 	case *prog.SemWait:
-		return apiKeys(prog.APISemWait)
+		return apiOps(prog.APISemWait)
 	case *prog.WaitAll:
-		return apiKeys(prog.APIWaitAll)
+		return apiOps(prog.APIWaitAll)
 	case *prog.Post:
 		if st.API != "" {
-			return apiKeys(st.API)
+			return apiOps(st.API)
 		}
-		return apiKeys(prog.APIPost)
+		return apiOps(prog.APIPost)
 	case *prog.Receive:
 		if st.API != "" {
-			return apiKeys(st.API)
+			return apiOps(st.API)
 		}
-		return apiKeys(prog.APIReceive)
+		return apiOps(prog.APIReceive)
 	case *prog.Fork:
-		return apiKeys(st.API.APIName())
+		return apiOps(st.API.APIName())
 	case *prog.Join:
-		return apiKeys(st.API.APIName())
+		return apiOps(st.API.APIName())
 	case *prog.ContinueWith:
-		return apiKeys(prog.APIContinueWith)
+		return apiOps(prog.APIContinueWith)
 	case *prog.UnsafeCall:
-		return apiKeys(st.API)
+		return apiOps(st.API)
 	case *prog.LibWait:
-		return apiKeys(st.API)
+		return apiOps(st.API)
 	case *prog.BarrierWait:
-		return apiKeys(prog.APIBarrier)
+		return apiOps(prog.APIBarrier)
 	case *prog.RWAcquireRead:
-		return apiKeys(prog.APIRWAcquireRead)
+		return apiOps(prog.APIRWAcquireRead)
 	case *prog.RWReleaseRead:
-		return apiKeys(prog.APIRWReleaseRead)
+		return apiOps(prog.APIRWReleaseRead)
 	case *prog.RWUpgrade:
-		return apiKeys(prog.APIRWUpgrade)
+		return apiOps(prog.APIRWUpgrade)
 	case *prog.RWDowngrade:
-		return apiKeys(prog.APIRWDowngrade)
+		return apiOps(prog.APIRWDowngrade)
 	}
-	return nil
+	return ops, 0
 }
 
-// apiKeys returns both call-site candidate keys of a library API.
-func apiKeys(api string) []trace.Key {
-	return []trace.Key{
-		trace.KeyFor(trace.KindBegin, api),
-		trace.KeyFor(trace.KindEnd, api),
-	}
+// apiOps returns both call-site candidate operations of a library API.
+func apiOps(api string) ([2]opKey, int) {
+	return [2]opKey{{trace.KindBegin, api}, {trace.KindEnd, api}}, 2
 }

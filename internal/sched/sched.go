@@ -11,14 +11,20 @@
 // per-statement duration jitter and dispatch latency drawn from a seeded
 // PRNG, which is enough to flip the order of racing operations across
 // seeds.
+//
+// Runs reuse their PRNG and event buffer through sync.Pools; a Result,
+// its Trace included, is always freshly allocated and owned by the caller.
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"sherlock/internal/obs"
 	"sherlock/internal/prog"
@@ -194,13 +200,17 @@ type machine struct {
 	inits     map[string]*initState
 
 	// Object identity.
-	slots     map[string]uint64
+	objs      map[objKey]uint64
 	nextObjID uint64
-	fieldAddr map[string]uint64
+	fieldAddr map[fieldKey]uint64
 	fieldVal  map[uint64]int64
 	nextAddr  uint64
 
-	events []trace.Event
+	// plan is opt.Delays keyed by operation, so matching a statement
+	// against the plan builds no key strings.
+	plan map[opKey]int64
+
+	events []trace.Event // pooled scratch; finish copies it out
 	delays []DelayInstance
 	steps  int
 
@@ -210,6 +220,38 @@ type machine struct {
 	zipf  *rand.Zipf
 	burst int
 }
+
+// objKey names an object: a test slot (kind "") or a named resource.
+type objKey struct {
+	kind, name string
+}
+
+// fieldKey names one field of one object.
+type fieldKey struct {
+	field string
+	obj   uint64
+}
+
+// opKey names a candidate operation without building its trace.Key.
+type opKey struct {
+	kind trace.Kind
+	name string
+}
+
+func (o opKey) key() trace.Key { return trace.KeyFor(o.kind, o.name) }
+
+// Per-run scratch reused across runs. A run reseeds the pooled rng, which
+// yields exactly the stream of a fresh rand.NewSource(seed), and hands its
+// trace an exact-size copy of the pooled event buffer, so results never
+// alias pooled memory.
+var (
+	rngPool   = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+	eventPool = sync.Pool{New: func() any { return new([]trace.Event) }}
+)
+
+// maxPooledEvents bounds the event buffers kept for reuse, so one
+// pathological run does not pin its whole log in the pool.
+const maxPooledEvents = 1 << 16
 
 type lockState struct {
 	holder int // thread id, -1 when free
@@ -289,11 +331,16 @@ func runLoop(ctx context.Context, p *prog.Program, t *prog.Test, opt Options) (*
 	if maxSteps == 0 {
 		maxSteps = 2_000_000
 	}
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(opt.Seed)
+	defer rngPool.Put(rng)
+	buf := eventPool.Get().(*[]trace.Event)
 	m := &machine{
 		p:         p,
 		t:         t,
 		opt:       opt,
-		rng:       rand.New(rand.NewSource(opt.Seed)),
+		rng:       rng,
+		events:    (*buf)[:0],
 		locks:     map[string]*lockState{},
 		rwlocks:   map[string]*rwState{},
 		sems:      map[string]int{},
@@ -302,11 +349,27 @@ func runLoop(ctx context.Context, p *prog.Program, t *prog.Test, opt Options) (*
 		handles:   map[string]*handleState{},
 		handleTID: map[string]int{},
 		inits:     map[string]*initState{},
-		slots:     map[string]uint64{},
-		fieldAddr: map[string]uint64{},
+		objs:      map[objKey]uint64{},
+		fieldAddr: map[fieldKey]uint64{},
 		fieldVal:  map[uint64]int64{},
 		nextObjID: 1,
 		nextAddr:  0x1000,
+	}
+	defer func() {
+		if cap(m.events) <= maxPooledEvents {
+			clear(m.events)
+			*buf = m.events[:0]
+			eventPool.Put(buf)
+		}
+	}()
+	if len(opt.Delays) > 0 {
+		m.plan = make(map[opKey]int64, len(opt.Delays))
+		for k, d := range opt.Delays {
+			// Keys that are not KeyFor's encoding can match no operation.
+			if o := (opKey{k.Kind(), k.Name()}); strings.HasPrefix(string(k), o.kind.String()+":") {
+				m.plan[o] = d
+			}
+		}
 	}
 
 	main := m.newThread(0)
@@ -357,8 +420,16 @@ func (l *runTestBody) Site() int     { return l.site }
 func (l *runTestBody) SetSite(i int) { l.site = i }
 
 func (m *machine) finish(deadlocked bool) *Result {
-	sort.SliceStable(m.events, func(i, j int) bool { return m.events[i].Time < m.events[j].Time })
-	tr := &trace.Trace{App: m.p.Name, Test: m.t.Name, Seed: m.opt.Seed, Events: m.events}
+	byTime := func(a, b trace.Event) int { return cmp.Compare(a.Time, b.Time) }
+	if !slices.IsSortedFunc(m.events, byTime) {
+		slices.SortStableFunc(m.events, byTime)
+	}
+	var events []trace.Event
+	if len(m.events) > 0 {
+		events = make([]trace.Event, len(m.events))
+		copy(events, m.events)
+	}
+	tr := &trace.Trace{App: m.p.Name, Test: m.t.Name, Seed: m.opt.Seed, Events: events}
 	var maxClock int64
 	for _, th := range m.threads {
 		if th.clock > maxClock {
@@ -439,18 +510,24 @@ func (m *machine) objID(slot string) uint64 {
 	if slot == "" {
 		return 0
 	}
-	if id, ok := m.slots[slot]; ok {
+	return m.object(objKey{name: slot})
+}
+
+// object returns the stable id of a slot or resource, numbering objects in
+// order of first use.
+func (m *machine) object(k objKey) uint64 {
+	if id, ok := m.objs[k]; ok {
 		return id
 	}
 	id := m.nextObjID
 	m.nextObjID++
-	m.slots[slot] = id
+	m.objs[k] = id
 	return id
 }
 
 // addr resolves (field, object) to a stable address for this run.
 func (m *machine) addr(field string, obj uint64) uint64 {
-	key := fmt.Sprintf("%s#%d", field, obj)
+	key := fieldKey{field, obj}
 	if a, ok := m.fieldAddr[key]; ok {
 		return a
 	}
@@ -503,6 +580,12 @@ func (m *machine) dispatch() int64 {
 	}
 }
 
+// perturbed reports whether the run has a delay plan; without one no
+// statement can be delayed and the per-statement delay lookup is skipped.
+func (m *machine) perturbed() bool {
+	return m.opt.Delays != nil || m.opt.SiteDelays != nil
+}
+
 // emit appends a log entry unless tracing is disabled.
 func (m *machine) emit(e trace.Event) {
 	if m.opt.DisableTracing {
@@ -517,17 +600,14 @@ func (m *machine) emit(e trace.Event) {
 // returns true: the delay consumed this scheduling step, and every other
 // thread keeps running inside the delay window before the statement's
 // effects become visible. The next visit executes the statement for real.
-func (m *machine) serveDelay(th *thread, marker delayMarker, site int, keys ...trace.Key) bool {
+func (m *machine) serveDelay(th *thread, marker delayMarker, site int, ops ...opKey) bool {
 	if th.served == marker {
 		th.served = delayMarker{}
 		return false
 	}
-	if m.opt.Delays == nil && m.opt.SiteDelays == nil {
-		return false
-	}
 	var total int64
-	for _, k := range keys {
-		total += m.opt.Delays[k]
+	for _, o := range ops {
+		total += m.plan[o]
 	}
 	siteDelay := m.opt.SiteDelays[site]
 	total += siteDelay
@@ -539,17 +619,17 @@ func (m *machine) serveDelay(th *thread, marker delayMarker, site int, keys ...t
 		// statement executes immediately (no second visit re-rolls).
 		return false
 	}
-	for _, k := range keys {
-		if d := m.opt.Delays[k]; d > 0 {
+	for _, o := range ops {
+		if d := m.plan[o]; d > 0 {
 			m.delays = append(m.delays, DelayInstance{
-				Key: k, Thread: th.id, Site: site, Start: th.clock, End: th.clock + total,
+				Key: o.key(), Thread: th.id, Site: site, Start: th.clock, End: th.clock + total,
 			})
 		}
 	}
 	if siteDelay > 0 {
 		var key trace.Key
-		if len(keys) > 0 {
-			key = keys[0]
+		if len(ops) > 0 {
+			key = ops[0].key()
 		}
 		m.delays = append(m.delays, DelayInstance{
 			Key: key, Thread: th.id, Site: site, Start: th.clock, End: th.clock + total,

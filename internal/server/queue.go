@@ -20,8 +20,10 @@ var ErrQueueFull = errors.New("server: job queue is full")
 // ErrDraining is returned by Submit once drain has begun.
 var ErrDraining = errors.New("server: draining, not accepting jobs")
 
-// executor runs one job to completion and returns its serialized result.
-type executor func(ctx context.Context, job *Job) ([]byte, error)
+// executor runs one job to completion, storing its result where clients
+// fetch it. Everything it does happens before the job turns terminal, so
+// a client that sees the job done also sees its result.
+type executor func(ctx context.Context, job *Job) error
 
 // queue owns the channel, the workers, and the admission state.
 type queue struct {
@@ -39,12 +41,12 @@ type queue struct {
 	// Observability hooks, wired by the server. All non-nil after newQueue.
 	depth    *Gauge
 	inflight *Gauge
-	onFinish func(job *Job, body []byte, err error, elapsed time.Duration)
+	onFinish func(job *Job, elapsed time.Duration)
 }
 
 // newQueue builds a queue with the given buffer size; workers start
 // immediately and run until drain.
-func newQueue(baseCtx context.Context, size, workers int, timeout time.Duration, exec executor, reg *Registry, onFinish func(*Job, []byte, error, time.Duration)) *queue {
+func newQueue(baseCtx context.Context, size, workers int, timeout time.Duration, exec executor, reg *Registry, onFinish func(*Job, time.Duration)) *queue {
 	q := &queue{
 		jobs:     make(chan *Job, size),
 		timeout:  timeout,
@@ -55,7 +57,7 @@ func newQueue(baseCtx context.Context, size, workers int, timeout time.Duration,
 		onFinish: onFinish,
 	}
 	if q.onFinish == nil {
-		q.onFinish = func(*Job, []byte, error, time.Duration) {}
+		q.onFinish = func(*Job, time.Duration) {}
 	}
 	q.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -127,11 +129,11 @@ func (q *queue) runOne(j *Job) {
 	start := time.Now()
 	if !j.start(start, cancel) {
 		// Canceled while queued: nothing to run, the slot frees instantly.
-		q.onFinish(j, nil, context.Canceled, 0)
+		q.onFinish(j, 0)
 		return
 	}
 	q.inflight.Inc()
-	body, err := q.exec(ctx, j)
+	err := q.exec(ctx, j)
 	q.inflight.Dec()
 	elapsed := time.Since(start)
 
@@ -145,5 +147,5 @@ func (q *queue) runOne(j *Job) {
 	default:
 		j.finishLocked(StatusFailed, err.Error())
 	}
-	q.onFinish(j, body, err, elapsed)
+	q.onFinish(j, elapsed)
 }

@@ -28,9 +28,9 @@ func newTestQueue(t *testing.T, size, workers int, timeout time.Duration, exec e
 
 func TestQueueRunsJobs(t *testing.T) {
 	var ran atomic.Int32
-	q := newTestQueue(t, 8, 2, 0, func(ctx context.Context, j *Job) ([]byte, error) {
+	q := newTestQueue(t, 8, 2, 0, func(ctx context.Context, j *Job) error {
 		ran.Add(1)
-		return []byte(j.ID), nil
+		return nil
 	})
 	jobs := make([]*Job, 5)
 	for i := range jobs {
@@ -53,10 +53,10 @@ func TestQueueRunsJobs(t *testing.T) {
 func TestQueueBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
-	q := newTestQueue(t, 1, 1, 0, func(ctx context.Context, j *Job) ([]byte, error) {
+	q := newTestQueue(t, 1, 1, 0, func(ctx context.Context, j *Job) error {
 		started <- struct{}{}
 		<-gate
-		return nil, nil
+		return nil
 	})
 
 	// First job occupies the worker; second fills the single queue slot.
@@ -85,13 +85,13 @@ func TestQueueBackpressure(t *testing.T) {
 
 func TestQueueCancelRunningFreesWorker(t *testing.T) {
 	started := make(chan *Job, 1)
-	q := newTestQueue(t, 4, 1, 0, func(ctx context.Context, j *Job) ([]byte, error) {
+	q := newTestQueue(t, 4, 1, 0, func(ctx context.Context, j *Job) error {
 		select {
 		case started <- j:
 		default:
 		}
 		<-ctx.Done() // a well-behaved campaign: returns when canceled
-		return nil, ctx.Err()
+		return ctx.Err()
 	})
 	victim := testJob(0)
 	if err := q.Submit(victim); err != nil {
@@ -123,10 +123,10 @@ func TestQueueCancelRunningFreesWorker(t *testing.T) {
 func TestQueueCancelQueuedNeverRuns(t *testing.T) {
 	gate := make(chan struct{})
 	var ran atomic.Int32
-	q := newTestQueue(t, 2, 1, 0, func(ctx context.Context, j *Job) ([]byte, error) {
+	q := newTestQueue(t, 2, 1, 0, func(ctx context.Context, j *Job) error {
 		ran.Add(1)
 		<-gate
-		return nil, nil
+		return nil
 	})
 	blocker := testJob(0)
 	queued := testJob(1)
@@ -150,9 +150,9 @@ func TestQueueCancelQueuedNeverRuns(t *testing.T) {
 }
 
 func TestQueueJobTimeout(t *testing.T) {
-	q := newTestQueue(t, 2, 1, 20*time.Millisecond, func(ctx context.Context, j *Job) ([]byte, error) {
+	q := newTestQueue(t, 2, 1, 20*time.Millisecond, func(ctx context.Context, j *Job) error {
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return ctx.Err()
 	})
 	j := testJob(0)
 	if err := q.Submit(j); err != nil {
@@ -168,8 +168,8 @@ func TestQueueJobTimeout(t *testing.T) {
 // -race: every submission either lands or fails fast with ErrQueueFull,
 // admitted jobs all finish, and accounting stays consistent.
 func TestQueueSubmitStorm(t *testing.T) {
-	q := newTestQueue(t, 4, 4, 0, func(ctx context.Context, j *Job) ([]byte, error) {
-		return []byte(j.ID), nil
+	q := newTestQueue(t, 4, 4, 0, func(ctx context.Context, j *Job) error {
+		return nil
 	})
 	const goroutines = 16
 	const perG = 200
@@ -215,9 +215,9 @@ func TestQueueSubmitStorm(t *testing.T) {
 
 func TestQueueDrainWaitsForAdmitted(t *testing.T) {
 	gate := make(chan struct{})
-	q := newQueue(context.Background(), 4, 1, 0, func(ctx context.Context, j *Job) ([]byte, error) {
+	q := newQueue(context.Background(), 4, 1, 0, func(ctx context.Context, j *Job) error {
 		<-gate
-		return nil, nil
+		return nil
 	}, NewRegistry(), nil)
 	a, b := testJob(0), testJob(1)
 	if err := q.Submit(a); err != nil {
@@ -260,9 +260,9 @@ func TestQueueDrainWaitsForAdmitted(t *testing.T) {
 func TestQueueDrainTimeout(t *testing.T) {
 	base, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	q := newQueue(base, 2, 1, 0, func(ctx context.Context, j *Job) ([]byte, error) {
+	q := newQueue(base, 2, 1, 0, func(ctx context.Context, j *Job) error {
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}, NewRegistry(), nil)
 	j := testJob(0)
 	if err := q.Submit(j); err != nil {

@@ -100,9 +100,9 @@ type Server struct {
 	// Config.CorpusDir was empty; removed on Close/Shutdown.
 	ephemeralCorpus string
 
-	// exec runs one job; defaults to runJob. A field so tests can inject
-	// controllable executors.
-	exec executor
+	// exec runs one job and returns its result body; defaults to runJob.
+	// A field so tests can inject controllable executors.
+	exec func(ctx context.Context, j *Job) ([]byte, error)
 
 	draining atomic.Bool
 	nextID   atomic.Uint64
@@ -214,7 +214,16 @@ func New(cfg Config) (*Server, error) {
 	corpus.OnIngest(s.notifySubscriptions)
 	s.exec = s.runJob
 	s.q = newQueue(ctx, cfg.QueueSize, cfg.Workers, cfg.JobTimeout,
-		func(ctx context.Context, j *Job) ([]byte, error) { return s.exec(ctx, j) },
+		func(ctx context.Context, j *Job) error {
+			body, err := s.exec(ctx, j)
+			if err == nil && body != nil {
+				// Fill the cache before the queue marks the job done: a
+				// client woken by the done status fetches result_url at
+				// once, and it must not get a 404.
+				s.cache.Put(j.Key, body)
+			}
+			return err
+		},
 		reg, s.onFinish)
 
 	mux := http.NewServeMux()
@@ -662,15 +671,12 @@ func (s *Server) lookup(id string) *Job {
 	return s.byID[id]
 }
 
-// onFinish is the queue's completion hook: cache fills, terminal-status
-// counters, and the latency histogram.
-func (s *Server) onFinish(j *Job, body []byte, err error, elapsed time.Duration) {
+// onFinish is the queue's completion hook: terminal-status counters and
+// the latency histogram. The executor has already filled the cache.
+func (s *Server) onFinish(j *Job, elapsed time.Duration) {
 	switch j.Status() {
 	case StatusDone:
 		s.jobsDone.Inc()
-		if body != nil {
-			s.cache.Put(j.Key, body)
-		}
 	case StatusFailed:
 		s.jobsFailed.Inc()
 	case StatusCanceled:

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -386,4 +388,100 @@ func captureTraceDoc(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// TestResultFetchableWhenDone is the regression test for a job turning
+// done before its result reached the cache: a client that fetches
+// result_url the moment /watch reports done must never get a 404. A
+// trivial executor makes jobs finish as fast as possible, so every fetch
+// lands right on the done transition, across many jobs and concurrent
+// clients.
+func TestResultFetchableWhenDone(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Workers = 4
+	cfg.QueueSize = 64
+	cfg.CacheCapacity = 1024
+	s, ts := startTestServer(t, cfg)
+	s.exec = func(ctx context.Context, j *Job) ([]byte, error) {
+		return []byte(`{"key":"` + j.Key + `"}`), nil
+	}
+
+	// do sends one request and decodes a JSON job view into v when v is
+	// non-nil; it reports errors instead of failing, for use off the test
+	// goroutine.
+	do := func(method, url, body string, v *jobView) (int, error) {
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		if v == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			return resp.StatusCode, err
+		}
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(v)
+	}
+	const clients, perClient = 4, 100
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				var v jobView
+				spec := fmt.Sprintf(`{"app":"App-1","seed":%d}`, 1000+c*perClient+i)
+				if code, err := do(http.MethodPost, ts.URL+"/v1/jobs", spec, &v); err != nil || code != http.StatusAccepted {
+					t.Errorf("submit %s: HTTP %d, %v", spec, code, err)
+					return
+				}
+				for v.Status != "done" {
+					code, err := do(http.MethodGet, ts.URL+"/v1/jobs/"+v.ID+"/watch?timeout=10", "", &v)
+					if err != nil || code != http.StatusOK || v.Status == "failed" || v.Status == "canceled" {
+						t.Errorf("watch %s: HTTP %d, status %s, %v", v.ID, code, v.Status, err)
+						return
+					}
+				}
+				if code, err := do(http.MethodGet, ts.URL+v.ResultURL, "", nil); err != nil || code != http.StatusOK {
+					t.Errorf("job %s done, but GET %s: HTTP %d, %v", v.ID, v.ResultURL, code, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestJobDoneOnlyAfterCached pins the ordering TestResultFetchableWhenDone
+// samples: while the result cache is locked, an executed job cannot turn
+// done, because its result must reach the cache first.
+func TestJobDoneOnlyAfterCached(t *testing.T) {
+	s, _ := startTestServer(t, fastConfig())
+	returned := make(chan struct{})
+	s.exec = func(ctx context.Context, j *Job) ([]byte, error) {
+		close(returned)
+		return []byte("{}"), nil
+	}
+	j := testJob(0)
+	s.cache.mu.Lock()
+	if err := s.q.Submit(j); err != nil {
+		s.cache.mu.Unlock()
+		t.Fatal(err)
+	}
+	<-returned
+	select {
+	case <-j.Done():
+		s.cache.mu.Unlock()
+		t.Fatal("job turned done before its result was cached")
+	case <-time.After(50 * time.Millisecond):
+		// Still running, blocked on the cache: the order holds.
+	}
+	s.cache.mu.Unlock()
+	<-j.Done()
+	if !s.cache.Contains(j.Key) {
+		t.Fatal("done job's result is not cached")
+	}
 }

@@ -53,15 +53,16 @@ const (
 	AccWrite            // write semantics
 )
 
-// Event is one log entry.
+// Event is one log entry. The one-byte fields sit together so an Event
+// packs into 96 bytes.
 type Event struct {
 	Time   int64  // virtual nanoseconds since the start of the run
 	Thread int    // thread id (0 = the test's main thread)
-	Kind   Kind   // operation type
 	Name   string // fully qualified static name, "Class::Member"
 	Addr   uint64 // field instance address, or receiver/resource id for lib calls
 	Obj    uint64 // parent object id for method entry/exit (0 if none)
 	Site   int    // static statement site id (stable across runs)
+	Kind   Kind   // operation type
 	Lib    bool   // true for library-API call-site events
 	Unsafe bool   // true for thread-unsafe library accesses (TSVD-eligible)
 	Acc    Acc    // access semantics for conflict detection

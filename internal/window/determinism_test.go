@@ -28,7 +28,7 @@ func capContentionTrace() *trace.Trace {
 // sameConflict compares conflicts by their identifying event fields
 // (trace.Event itself is not comparable).
 func sameConflict(a, b Conflict) bool {
-	id := func(e trace.Event) [4]int64 {
+	id := func(e *trace.Event) [4]int64 {
 		return [4]int64{e.Time, int64(e.Thread), int64(e.Site), int64(e.Addr)}
 	}
 	return id(a.A) == id(b.A) && id(a.B) == id(b.B)

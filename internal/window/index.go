@@ -7,7 +7,10 @@
 package window
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"sync"
 
 	"sherlock/internal/trace"
 )
@@ -24,24 +27,66 @@ type Index struct {
 	threads   map[int]*threadIndex
 }
 
+// op names a candidate operation; keyCachePool maps it to its key.
+type op struct {
+	kind trace.Kind
+	name string
+}
+
+// keyCachePool holds caches of candidate keys by operation. Traces repeat
+// a handful of static operations many times, within and across runs of a
+// program, so NewIndex builds each key once per cache rather than once per
+// event.
+var keyCachePool = sync.Pool{New: func() any { return map[op]trace.Key{} }}
+
+// maxCachedKeys bounds the caches kept for reuse: one trace with very many
+// distinct names must not pin a large map in the pool.
+const maxCachedKeys = 1 << 12
+
+func putKeyCache(keys map[op]trace.Key) {
+	if len(keys) <= maxCachedKeys {
+		keyCachePool.Put(keys)
+	}
+}
+
 // NewIndex builds the per-thread index of a trace. Events arrive
 // time-ordered from the scheduler; out-of-order inputs are sorted
 // defensively.
 func NewIndex(tr *trace.Trace) *Index {
 	idx := &Index{app: tr.App, test: tr.Test, threads: map[int]*threadIndex{}}
+	// Size every thread's slices up front and carve them out of one
+	// backing array per field.
+	counts := map[int]int{}
+	for i := range tr.Events {
+		counts[tr.Events[i].Thread]++
+	}
+	times := make([]int64, len(tr.Events))
+	cands := make([]CandEvent, len(tr.Events))
+	off := 0
+	keys := keyCachePool.Get().(map[op]trace.Key)
+	defer putKeyCache(keys)
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		ti, ok := idx.threads[e.Thread]
 		if !ok {
-			ti = &threadIndex{}
+			n := counts[e.Thread]
+			ti = &threadIndex{times: times[off : off : off+n], cands: cands[off : off : off+n]}
+			off += n
 			idx.threads[e.Thread] = ti
 		}
+		o := op{e.Kind, e.Name}
+		k, ok := keys[o]
+		if !ok {
+			k = trace.EventKey(e)
+			keys[o] = k
+		}
 		ti.times = append(ti.times, e.Time)
-		ti.cands = append(ti.cands, CandEvent{Key: trace.EventKey(e), Time: e.Time})
+		ti.cands = append(ti.cands, CandEvent{Key: k, Time: e.Time})
 	}
+	byTime := func(a, b CandEvent) int { return cmp.Compare(a.Time, b.Time) }
 	for _, ti := range idx.threads {
-		if !sort.SliceIsSorted(ti.cands, func(i, j int) bool { return ti.cands[i].Time < ti.cands[j].Time }) {
-			sort.SliceStable(ti.cands, func(i, j int) bool { return ti.cands[i].Time < ti.cands[j].Time })
+		if !slices.IsSortedFunc(ti.cands, byTime) {
+			slices.SortStableFunc(ti.cands, byTime)
 			for i, c := range ti.cands {
 				ti.times[i] = c.Time
 			}

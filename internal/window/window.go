@@ -4,9 +4,16 @@
 // windows per static location pair, spotting data-race observations, and
 // accumulating the statistics (occurrence counts, method-duration CVs) the
 // Solver's hypotheses consume.
+//
+// Extraction shares memory instead of copying it: a Conflict points into
+// the Events of the trace FindConflicts scanned, and a Window's event
+// slices are views over a per-trace index. Both are read-only; a caller
+// that needs to change one builds a new value.
 package window
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,11 +71,11 @@ type Window struct {
 	// accumulator index), which keeps row names — and with them warm-basis
 	// mapping — stable even when later encodings insert windows from other
 	// traces ahead of this one. Empty for windows built live by the engine.
-	UID  string
-	Pair PairID
-	ThreadA   int
-	ThreadB   int
-	TA, TB    int64
+	UID     string
+	Pair    PairID
+	ThreadA int
+	ThreadB int
+	TA, TB  int64
 	// RelEvents are operations from ThreadA in (TA, TB): release candidates.
 	RelEvents []CandEvent
 	// AcqEvents are operations from ThreadB in (TA, TB): acquire candidates.
@@ -129,9 +136,11 @@ func (w *Window) RacyAcquire() bool {
 // Racy reports whether this window is a data-race observation.
 func (w *Window) Racy() bool { return w.RacyRelease() || w.RacyAcquire() }
 
-// Conflict is one conflicting-access pair found in a trace.
+// Conflict is one conflicting-access pair found in a trace. A and B point
+// into the Events of the trace FindConflicts scanned: they are read-only
+// views, valid while that trace is, and never copies.
 type Conflict struct {
-	A, B trace.Event // A executed first
+	A, B *trace.Event // A executed first
 }
 
 // FindConflicts returns every conflicting-access pair in tr within near
@@ -140,47 +149,65 @@ type Conflict struct {
 // bound the quadratic blowup from loops (the Extractor applies its own
 // cross-run cap later).
 func FindConflicts(tr *trace.Trace, cfg Config) []Conflict {
-	type acc struct {
-		ev trace.Event
+	// Bucket eligible events by address as compact (address, time,
+	// thread, write, event index) records in one slice: sorting it by
+	// address, then index, groups each address's accesses in trace (time)
+	// order without a per-address allocation, and the pair scan below
+	// touches the full events only for real conflicts.
+	type access struct {
+		addr   uint64
+		time   int64
+		thread int
+		i      int32
+		write  bool
 	}
-	byAddr := map[uint64][]acc{}
-	for _, e := range tr.Events {
-		if !e.ConflictEligible() {
-			continue
+	eligible := func(e *trace.Event) bool {
+		return e.ConflictEligible() && (cfg.UseUnsafeAPIs || !e.Lib)
+	}
+	n := 0
+	for i := range tr.Events {
+		if eligible(&tr.Events[i]) {
+			n++
 		}
-		if e.Lib && !cfg.UseUnsafeAPIs {
-			continue
+	}
+	accs := make([]access, 0, n)
+	for i := range tr.Events {
+		if e := &tr.Events[i]; eligible(e) {
+			accs = append(accs, access{addr: e.Addr, time: e.Time, thread: e.Thread, i: int32(i), write: e.Acc == trace.AccWrite})
 		}
-		byAddr[e.Addr] = append(byAddr[e.Addr], acc{ev: e})
 	}
 	// The per-pair cap below consumes a budget shared across addresses, so
 	// the iteration order decides WHICH conflicts survive once a pair
-	// exceeds the cap. Walk addresses in sorted order — ranging over the
-	// map directly would make the selected set (and every inference
-	// downstream of it) vary between identical runs.
-	addrs := make([]uint64, 0, len(byAddr))
-	for a := range byAddr {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	// exceeds the cap. Walk addresses in sorted order — a map walk would
+	// make the selected set (and every inference downstream of it) vary
+	// between identical runs.
+	slices.SortFunc(accs, func(x, y access) int {
+		if c := cmp.Compare(x.addr, y.addr); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
+	})
 	var out []Conflict
 	perPair := map[PairID]int{}
-	for _, a := range addrs {
-		evs := byAddr[a]
+	for lo := 0; lo < len(accs); {
+		hi := lo + 1
+		for hi < len(accs) && accs[hi].addr == accs[lo].addr {
+			hi++
+		}
+		evs := accs[lo:hi]
+		lo = hi
 		// Events arrive time-ordered (trace is sorted).
 		for j := 1; j < len(evs); j++ {
-			b := evs[j].ev
+			y := &evs[j]
 			for i := j - 1; i >= 0; i-- {
-				a := evs[i].ev
-				if b.Time-a.Time > cfg.Near {
+				x := &evs[i]
+				if y.time-x.time > cfg.Near {
 					break
 				}
-				if a.Thread == b.Thread {
+				if x.thread == y.thread || !x.write && !y.write {
 					continue
 				}
-				if a.Acc != trace.AccWrite && b.Acc != trace.AccWrite {
-					continue
-				}
+				a, b := &tr.Events[x.i], &tr.Events[y.i]
 				pid := PairID{First: a.Site, Second: b.Site}
 				if perPair[pid] >= cfg.PerPairCap {
 					continue
@@ -221,13 +248,23 @@ func BuildWindow(tr *trace.Trace, c Conflict) Window {
 // trace by pairing Begin/End events per thread with a call stack. Library
 // call sites pair the same way (they never interleave within a thread).
 func MethodDurations(tr *trace.Trace) map[string][]float64 {
+	out := map[string][]float64{}
+	eachDuration(tr, func(name string, d float64) {
+		out[name] = append(out[name], d)
+	})
+	return out
+}
+
+// eachDuration calls yield with every method-duration sample of tr, in
+// trace order.
+func eachDuration(tr *trace.Trace, yield func(name string, d float64)) {
 	type open struct {
 		name string
 		t    int64
 	}
 	stacks := map[int][]open{}
-	out := map[string][]float64{}
-	for _, e := range tr.Events {
+	for i := range tr.Events {
+		e := &tr.Events[i]
 		switch e.Kind {
 		case trace.KindBegin:
 			stacks[e.Thread] = append(stacks[e.Thread], open{e.Name, e.Time})
@@ -239,14 +276,13 @@ func MethodDurations(tr *trace.Trace) map[string][]float64 {
 				top := st[len(st)-1]
 				st = st[:len(st)-1]
 				if top.name == e.Name {
-					out[e.Name] = append(out[e.Name], float64(e.Time-top.t))
+					yield(e.Name, float64(e.Time-top.t))
 					break
 				}
 			}
 			stacks[e.Thread] = st
 		}
 	}
-	return out
 }
 
 // Observations accumulates everything the Solver consumes, across runs
@@ -336,7 +372,9 @@ func (o *Observations) AddWindows(ws []Window) {
 // AddTraceStats folds per-trace statistics (durations, library API names)
 // into the accumulator. Call once per trace, independent of windows.
 func (o *Observations) AddTraceStats(tr *trace.Trace) {
-	o.addDurations(MethodDurations(tr))
+	// Fold samples as they are found: integer moments make the fold
+	// independent of sample order, so this equals folding MethodDurations.
+	eachDuration(tr, o.addDuration)
 	for i := range tr.Events {
 		if tr.Events[i].Lib {
 			o.LibAPIs[tr.Events[i].Name] = true
@@ -362,15 +400,19 @@ func (o *Observations) AddStats(durations map[string][]float64, libAPIs []string
 
 func (o *Observations) addDurations(durations map[string][]float64) {
 	for name, durs := range durations {
-		w, ok := o.Durations[name]
-		if !ok {
-			w = &stats.Moments{}
-			o.Durations[name] = w
-		}
 		for _, d := range durs {
-			w.Add(d)
+			o.addDuration(name, d)
 		}
 	}
+}
+
+func (o *Observations) addDuration(name string, d float64) {
+	w, ok := o.Durations[name]
+	if !ok {
+		w = &stats.Moments{}
+		o.Durations[name] = w
+	}
+	w.Add(d)
 }
 
 // Merge folds another accumulator into o: windows are replayed through the

@@ -39,6 +39,10 @@ func TestFindConflictsBasics(t *testing.T) {
 	if cs[0].A.Time != 100 || cs[0].B.Time != 200 {
 		t.Errorf("wrong pair: %v", cs[0])
 	}
+	// Conflicts are views into the scanned trace, not copies.
+	if cs[0].A != &tr.Events[0] || cs[0].B != &tr.Events[1] {
+		t.Error("conflict does not point into the trace's events")
+	}
 }
 
 func TestFindConflictsSameThreadExcluded(t *testing.T) {
@@ -116,7 +120,7 @@ func TestBuildWindowSplitsByThread(t *testing.T) {
 		ev(600, 0, trace.KindWrite, "C::late", 4),  // after TB: excluded
 		b,
 	)
-	w := BuildWindow(tr, Conflict{A: a, B: b})
+	w := BuildWindow(tr, Conflict{A: &a, B: &b})
 	if len(w.RelEvents) != 1 || w.RelEvents[0].Key != trace.KeyFor(trace.KindWrite, "C::flag") {
 		t.Errorf("release events = %v", w.RelEvents)
 	}
@@ -279,7 +283,7 @@ func TestBuildWindowProperty(t *testing.T) {
 			events = append(events, e)
 		}
 		events = append(events, b)
-		w := BuildWindow(mkTrace(events...), Conflict{A: a, B: b})
+		w := BuildWindow(mkTrace(events...), Conflict{A: &a, B: &b})
 		for _, c := range w.RelEvents {
 			if c.Time <= a.Time || c.Time >= b.Time {
 				return false

@@ -380,8 +380,12 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, j *Job, after 
 		flusher.Flush()
 		return JobStatus(v.Status).terminal()
 	}
+	// Each send reads the state after taking the update channel that the
+	// next publish closes, so a publish landing in between is sent, not
+	// missed. updated is nil for one-shot jobs: rely on done.
+	version, status, updated := j.watchState()
 	// Initial state, unless the client is resuming past it.
-	if version, status, _ := j.watchState(); version > after || status.terminal() || version == 0 {
+	if version > after || status.terminal() || version == 0 {
 		if send() {
 			return
 		}
@@ -389,13 +393,9 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, j *Job, after 
 	heartbeat := time.NewTicker(15 * time.Second)
 	defer heartbeat.Stop()
 	for {
-		_, _, updated := j.watchState()
-		var updateCh <-chan struct{}
-		if updated != nil {
-			updateCh = updated
-		}
 		select {
-		case <-updateCh:
+		case <-updated:
+			_, _, updated = j.watchState()
 			if send() {
 				return
 			}

@@ -43,10 +43,11 @@ type Entry struct {
 type Corpus struct {
 	dir string
 
-	mu       sync.Mutex
-	entries  map[string]Entry
-	tracer   *obs.Tracer
-	onIngest []func(Entry)
+	mu          sync.Mutex
+	rows        []manifestRow // the index: every entry in key order (manifest.go)
+	manifestBuf []byte        // reused by saveManifestLocked
+	tracer      *obs.Tracer
+	onIngest    []func(Entry)
 }
 
 // OnIngest registers a hook called after every Ingest that stores a new
@@ -87,18 +88,18 @@ func Open(dir string) (*Corpus, error) {
 			return nil, fmt.Errorf("store: open corpus: %w", err)
 		}
 	}
-	c := &Corpus{dir: dir, entries: make(map[string]Entry)}
+	c := &Corpus{dir: dir}
 	entries, err := loadManifest(c.manifestPath())
 	if err == nil {
 		for _, e := range entries {
-			c.entries[e.Key] = e
+			c.indexLocked(e)
 		}
 		return c, nil
 	}
 	if err := c.rebuild(); err != nil {
 		return nil, err
 	}
-	if len(c.entries) > 0 {
+	if len(c.rows) > 0 {
 		if err := c.saveManifestLocked(); err != nil {
 			return nil, err
 		}
@@ -168,9 +169,9 @@ func (c *Corpus) Ingest(t *trace.Trace) (Entry, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	hooks = c.onIngest
-	if prev, ok := c.entries[key]; ok {
+	if i, ok := c.findLocked(key); ok {
 		if _, err := os.Stat(c.BlobPath(key)); err == nil {
-			return prev, false, nil
+			return c.rows[i].entry, false, nil
 		}
 		// Manifest entry without a blob (manual deletion): fall through
 		// and rewrite it.
@@ -199,7 +200,7 @@ func (c *Corpus) Ingest(t *trace.Trace) (Entry, bool, error) {
 		return Entry{}, false, fmt.Errorf("store: ingest: %w", err)
 	}
 
-	c.entries[key] = entry
+	c.indexLocked(entry)
 	if err := c.saveManifestLocked(); err != nil {
 		return Entry{}, false, err
 	}
@@ -228,8 +229,11 @@ func (c *Corpus) Get(key string) (*trace.Trace, error) {
 func (c *Corpus) Entry(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return e, ok
+	i, ok := c.findLocked(key)
+	if !ok {
+		return Entry{}, false
+	}
+	return c.rows[i].entry, true
 }
 
 // Entries returns every index record, sorted by key — the corpus's
@@ -237,11 +241,10 @@ func (c *Corpus) Entry(key string) (Entry, bool) {
 func (c *Corpus) Entries() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		out = append(out, e)
+	out := make([]Entry, len(c.rows))
+	for i, r := range c.rows {
+		out[i] = r.entry
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -249,7 +252,7 @@ func (c *Corpus) Entries() []Entry {
 func (c *Corpus) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return len(c.rows)
 }
 
 // Stats returns the unique-trace count, the total stored blob bytes, and
@@ -257,11 +260,11 @@ func (c *Corpus) Len() int {
 func (c *Corpus) Stats() (traces int, bytes int64, events int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		bytes += e.Size
-		events += int64(e.Events)
+	for _, r := range c.rows {
+		bytes += r.entry.Size
+		events += int64(r.entry.Events)
 	}
-	return len(c.entries), bytes, events
+	return len(c.rows), bytes, events
 }
 
 // VerifyReport is the machine-readable outcome of a full corpus
@@ -337,7 +340,7 @@ func (c *Corpus) Verify() (*VerifyReport, error) {
 	}
 	c.mu.Lock()
 	for _, key := range onDisk {
-		if _, ok := c.entries[key]; !ok {
+		if _, ok := c.findLocked(key); !ok {
 			rep.Orphans = append(rep.Orphans, key)
 		}
 	}
@@ -396,10 +399,10 @@ func (c *Corpus) rebuild() error {
 		if err != nil {
 			return fmt.Errorf("store: rebuild: blob %s: %w", key, err)
 		}
-		c.entries[key] = Entry{
+		c.indexLocked(Entry{
 			Key: key, App: t.App, Test: t.Test, Seed: t.Seed,
 			Events: len(t.Events), Size: int64(len(data)),
-		}
+		})
 	}
 	return nil
 }

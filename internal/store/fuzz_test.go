@@ -13,8 +13,9 @@ import (
 // whatever the input — bad magic, truncated headers, forged varints,
 // wrong CRCs, lying trailers — DecodeTrace must return an error or a
 // trace, never panic, and anything it accepts must re-encode canonically.
-// Seeds are the encodings of one captured trace per benchmark app plus
-// targeted corruptions of a known-good stream.
+// Seeds are the encodings of one captured trace per benchmark app,
+// targeted corruptions of a known-good stream, and a header that declares
+// a 64 MB payload it does not hold.
 func FuzzBinaryDecode(f *testing.F) {
 	for _, app := range apps.All() {
 		run, err := sched.Run(app, app.Tests[0], sched.Options{Seed: 1})
@@ -41,6 +42,7 @@ func FuzzBinaryDecode(f *testing.F) {
 	crcFlip := append([]byte{}, good...)
 	crcFlip[len(crcFlip)-6] ^= 0x80
 	f.Add(crcFlip)
+	f.Add(forgedPayloadLength())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeTrace(data)

@@ -2,6 +2,12 @@
 // atomically (write-then-rename in the corpus's tmp/ staging area) after
 // every mutation so readers never observe a torn index. The manifest is a
 // cache — Open rebuilds it from the blobs when it is missing or corrupt.
+//
+// The in-memory index is a key-sorted slice of rows, each holding an
+// entry and its JSON, encoded once when the entry is indexed; a rewrite
+// concatenates the rows instead of sorting and re-marshalling every
+// entry, so it costs a copy of the document rather than O(N) encodes per
+// ingest.
 package store
 
 import (
@@ -9,7 +15,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // manifestVersion guards the index schema; a reader that sees a different
@@ -20,6 +28,37 @@ const manifestVersion = 1
 type manifest struct {
 	Version int     `json:"version"`
 	Entries []Entry `json:"entries"`
+}
+
+// manifestRow is one indexed entry with its encoded form inside
+// manifest.json: exactly the bytes json.MarshalIndent(manifest{...}, "",
+// "  ") writes for the entry at its nesting depth.
+type manifestRow struct {
+	entry Entry
+	json  []byte
+}
+
+// findLocked returns the position of key in c.rows, or where it would be
+// inserted, and whether it is present. Callers hold c.mu.
+func (c *Corpus) findLocked(key string) (int, bool) {
+	return slices.BinarySearchFunc(c.rows, key, func(r manifestRow, key string) int {
+		return strings.Compare(r.entry.Key, key)
+	})
+}
+
+// indexLocked adds or replaces e and its manifest row, keeping c.rows
+// sorted by key. Callers hold c.mu or own c exclusively.
+func (c *Corpus) indexLocked(e Entry) {
+	data, err := json.MarshalIndent(e, "    ", "  ")
+	if err != nil {
+		panic(err) // Entry has only string and integer fields
+	}
+	row := manifestRow{entry: e, json: append([]byte("    "), data...)}
+	if i, found := c.findLocked(e.Key); found {
+		c.rows[i] = row
+	} else {
+		c.rows = slices.Insert(c.rows, i, row)
+	}
 }
 
 // loadManifest reads and validates the index file.
@@ -45,16 +84,21 @@ func loadManifest(path string) ([]Entry, error) {
 
 // saveManifestLocked atomically rewrites the index. Callers hold c.mu.
 func (c *Corpus) saveManifestLocked() error {
-	entries := make([]Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
+	data := append(c.manifestBuf[:0], "{\n  \"version\": "...)
+	data = strconv.AppendInt(data, manifestVersion, 10)
+	data = append(data, ",\n  \"entries\": ["...)
+	for i, r := range c.rows {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		data = append(data, '\n')
+		data = append(data, r.json...)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	data, err := json.MarshalIndent(manifest{Version: manifestVersion, Entries: entries}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: manifest: %w", err)
+	if len(c.rows) > 0 {
+		data = append(data, "\n  "...)
 	}
-	data = append(data, '\n')
+	data = append(data, "]\n}\n"...)
+	c.manifestBuf = data
 	tmp, err := os.CreateTemp(filepath.Join(c.dir, "tmp"), "manifest-*")
 	if err != nil {
 		return fmt.Errorf("store: manifest: %w", err)

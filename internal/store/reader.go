@@ -2,7 +2,8 @@
 // compressed block at a time. Every malformed input — bad magic, corrupt
 // varints, wrong CRCs, truncation, trailing bytes — returns an error
 // wrapping ErrFormat; the decoder never panics and never allocates
-// proportionally to attacker-controlled lengths.
+// proportionally to attacker-controlled lengths: buffers grow with the
+// bytes actually read or inflated, never with a length a header declares.
 package store
 
 import (
@@ -14,6 +15,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"sync"
 
 	"sherlock/internal/trace"
 )
@@ -29,7 +32,8 @@ type Reader struct {
 
 	strings []string
 
-	// Current block.
+	// Current block: compressed payload and its inflated form.
+	payload  []byte
 	raw      []byte
 	off      int
 	left     int // events remaining in this block
@@ -39,9 +43,22 @@ type Reader struct {
 	count int
 	done  bool
 	err   error
-
-	comp io.ReadCloser // reused flate reader
 }
+
+// inflater is a pooled block decompressor together with the byte reader
+// it inflates from. A flate reader holds about 40 KB of state; Reset
+// clears all of it, including any error from a corrupt block, so a pooled
+// one decodes exactly like a new one.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{New: func() any {
+	inf := new(inflater)
+	inf.fr = flate.NewReader(&inf.src)
+	return inf
+}}
 
 // NewReader parses the magic, version, and header.
 func NewReader(r io.Reader) (*Reader, error) {
@@ -157,34 +174,41 @@ func (rd *Reader) nextBlock() error {
 	if _, err := io.ReadFull(rd.br, crcb[:]); err != nil {
 		return formatErr("block crc: %v", err)
 	}
-	comp := make([]byte, compLen)
-	if _, err := io.ReadFull(rd.br, comp); err != nil {
+	if rd.payload, err = readGrowing(rd.payload, rd.br, int(compLen)); err != nil {
 		return formatErr("block payload: %v", err)
 	}
-	if got, want := crc32.ChecksumIEEE(comp), binary.LittleEndian.Uint32(crcb[:]); got != want {
+	if got, want := crc32.ChecksumIEEE(rd.payload), binary.LittleEndian.Uint32(crcb[:]); got != want {
 		return formatErr("block crc mismatch: %#x != %#x", got, want)
 	}
 
-	if rd.comp == nil {
-		rd.comp = flate.NewReader(bytes.NewReader(comp))
-	} else if err := rd.comp.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
-		return formatErr("flate reset: %v", err)
-	}
-	if cap(rd.raw) < int(rawLen) {
-		rd.raw = make([]byte, rawLen)
-	}
-	rd.raw = rd.raw[:rawLen]
-	if _, err := io.ReadFull(rd.comp, rd.raw); err != nil {
-		return formatErr("block decompress: %v", err)
-	}
-	var one [1]byte
-	if n, _ := io.ReadFull(rd.comp, one[:]); n != 0 {
-		return formatErr("block decompresses past its declared raw length %d", rawLen)
+	if rd.raw, err = inflate(rd.raw, rd.payload, int(rawLen)); err != nil {
+		return err
 	}
 	rd.off = 0
 	rd.left = int(n)
 	rd.prevTime, rd.prevAddr = 0, 0
 	return nil
+}
+
+// inflate decompresses payload into buf, reusing buf's capacity; the
+// result must be exactly n bytes long.
+func inflate(buf, payload []byte, n int) ([]byte, error) {
+	inf := inflaters.Get().(*inflater)
+	defer func() {
+		inf.src.Reset(nil) // drop the reference to payload
+		inflaters.Put(inf)
+	}()
+	inf.src.Reset(payload)
+	inf.fr.(flate.Resetter).Reset(&inf.src, nil) // cannot fail: no dictionary
+	buf, err := readGrowing(buf, inf.fr, n)
+	if err != nil {
+		return buf, formatErr("block decompress: %v", err)
+	}
+	var one [1]byte
+	if m, _ := io.ReadFull(inf.fr, one[:]); m != 0 {
+		return buf, formatErr("block decompresses past its declared raw length %d", n)
+	}
+	return buf, nil
 }
 
 // decodeEvent parses one event record from the current block payload.
@@ -305,11 +329,36 @@ func (rd *Reader) readString() (string, error) {
 	if n > maxStringLen {
 		return "", formatErr("string of %d bytes exceeds cap %d", n, maxStringLen)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(rd.br, b); err != nil {
+	b, err := readGrowing(nil, rd.br, int(n))
+	if err != nil {
 		return "", formatErr("truncated %d-byte string: %v", n, err)
 	}
 	return string(b), nil
+}
+
+// minGrow is the first allocation readGrowing makes for a long read.
+const minGrow = 4 << 10
+
+// readGrowing reads exactly n bytes from r into buf, reusing its capacity
+// and growing it only as bytes arrive (at most doubling what has been read
+// so far), so a length forged in a header costs no more memory than the
+// bytes that actually back it. Short input is io.ErrUnexpectedEOF.
+func readGrowing(buf []byte, r io.Reader, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), minGrow)))
+		}
+		m, err := r.Read(buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil && len(buf) < n {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // payloadByte reads one byte from the current block payload.

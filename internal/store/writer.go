@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"sherlock/internal/trace"
 )
@@ -37,10 +38,21 @@ type Writer struct {
 	closed bool
 	err    error
 
-	// Reused compression state.
-	comp    *flate.Writer
+	// Reused compressed-block buffer.
 	compBuf []byte
 }
+
+// compressors pools block compressors across writers. A flate.Writer holds
+// about 1 MB of state; Reset makes a pooled one equivalent to a new one at
+// the same level, so the encoded bytes do not depend on which one a block
+// gets.
+var compressors = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+	if err != nil {
+		panic(err) // BestSpeed is a valid level
+	}
+	return fw
+}}
 
 // NewWriter writes the magic, version, and header for meta and returns a
 // Writer positioned at the first event. blockEvents <= 0 selects
@@ -64,15 +76,10 @@ func NewWriter(w io.Writer, meta Meta, blockEvents int) (*Writer, error) {
 	if _, err := bw.Write(hdr); err != nil {
 		return nil, fmt.Errorf("store: write header: %w", err)
 	}
-	comp, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
 	return &Writer{
 		w:           bw,
 		blockEvents: blockEvents,
 		strings:     make(map[string]uint64),
-		comp:        comp,
 	}, nil
 }
 
@@ -137,12 +144,15 @@ func (wr *Writer) flushBlock() error {
 		return nil
 	}
 	wr.compBuf = wr.compBuf[:0]
-	sink := (*sliceWriter)(&wr.compBuf)
-	wr.comp.Reset(sink)
-	if _, err := wr.comp.Write(wr.buf); err != nil {
-		return wr.fail(fmt.Errorf("store: compress block: %w", err))
+	comp := compressors.Get().(*flate.Writer)
+	comp.Reset((*sliceWriter)(&wr.compBuf))
+	_, err := comp.Write(wr.buf)
+	if err == nil {
+		err = comp.Close()
 	}
-	if err := wr.comp.Close(); err != nil {
+	comp.Reset(io.Discard) // drop the reference to wr.compBuf
+	compressors.Put(comp)
+	if err != nil {
 		return wr.fail(fmt.Errorf("store: compress block: %w", err))
 	}
 

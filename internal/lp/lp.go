@@ -215,6 +215,10 @@ func (p *Problem) AddConstraint(coeffs map[int]float64, sense Sense, rhs float64
 // callers should keep them unique and stable across rounds.
 func (p *Problem) AddNamedConstraint(name string, coeffs map[int]float64, sense Sense, rhs float64) {
 	c := constraint{name: name, sense: sense, rhs: rhs}
+	if len(coeffs) > 0 {
+		c.idx = make([]int, 0, len(coeffs))
+		c.coeffs = make([]float64, 0, len(coeffs))
+	}
 	for v, a := range coeffs {
 		if a == 0 {
 			continue
@@ -307,6 +311,10 @@ type Solution struct {
 	// applied (false when it was rejected and the solve fell back to a cold
 	// start).
 	WarmStarted bool
+
+	// etaPeak is the longest eta file any component left standing after a
+	// pivot: 0 when every pivot was followed by a refactorization.
+	etaPeak int
 }
 
 // Value returns the solution value of variable v.

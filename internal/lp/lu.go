@@ -52,16 +52,17 @@ const (
 // permutation. L is unit lower triangular with the implicit diagonal
 // dropped; its column k stores below-diagonal entries by original row
 // (all of which pivot at positions > k). U's column k stores its
-// above-diagonal entries by pivot position j < k, plus the diagonal.
+// above-diagonal entries by pivot position j < k; the diagonal is kept
+// apart. Both are stored compressed (sparseMat): the factorization
+// completes column k before it starts k+1, so each factor is filled by
+// plain appends plus one start offset per column.
 type luFactors struct {
 	m      int
 	pivrow []int32
 	pinv   []int32
 
-	lrow [][]int32
-	lval [][]float64
-	urow [][]int32
-	uval [][]float64
+	l    sparseMat
+	u    sparseMat
 	diag []float64
 
 	nnz int // total stored entries across L, U and the diagonal
@@ -112,31 +113,49 @@ func (h *posHeap) pop() int32 {
 // basis out of cols. It reports ok=false when the matrix is numerically
 // singular (no pivot above tinyPivot in some column), in which case the
 // caller must fall back to a different basis.
-func factorizeBasis(cols []spCol, basis []int, m int) (*luFactors, bool) {
+func factorizeBasis(ws *workspace, cols *sparseMat, basis []int, m int) (*luFactors, bool) {
+	nnz := 0
+	for _, j := range basis {
+		nnz += int(cols.start[j+1] - cols.start[j])
+	}
+	// The factors, the permutation and the work arrays come out of the
+	// workspace; the L and U entry lists start with room for nnz(B) each
+	// and grow on the heap past it. A factorization the solve replaces
+	// stays intact until the workspace is reset, so a failed
+	// refactorization can leave the previous one live.
+	int32s := ws.int32s.take(6*m + 2 + 2*nnz)
+	floats := ws.floats.take(2*m + 2*nnz)
+	flags := ws.flags.take(2 * m)
 	f := &luFactors{
 		m:      m,
-		pivrow: make([]int32, m),
-		pinv:   make([]int32, m),
-		lrow:   make([][]int32, m),
-		lval:   make([][]float64, m),
-		urow:   make([][]int32, m),
-		uval:   make([][]float64, m),
-		diag:   make([]float64, m),
+		pivrow: carve(&int32s, m),
+		pinv:   carve(&int32s, m),
+		l: sparseMat{
+			start: carve(&int32s, m+1),
+			idx:   carve(&int32s, nnz)[:0],
+			val:   carve(&floats, nnz)[:0],
+		},
+		u: sparseMat{
+			start: carve(&int32s, m+1),
+			idx:   carve(&int32s, nnz)[:0],
+			val:   carve(&floats, nnz)[:0],
+		},
+		diag: carve(&floats, m),
 	}
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
 
-	w := make([]float64, m)        // dense work column, by original row
-	touched := make([]int32, 0, m) // rows scattered or filled this column
-	inCol := make([]bool, m)       // membership in touched
-	queued := make([]bool, m)      // position already in the heap
-	var heap posHeap
+	w := carve(&floats, m)                 // dense work column, by original row
+	touched := carve(&int32s, m)[:0]       // rows scattered or filled this column
+	inCol := carve(&flags, m)              // membership in touched
+	queued := carve(&flags, m)             // position already in the heap
+	heap := posHeap(carve(&int32s, m)[:0]) // holds each position at most once
 
 	for k := 0; k < m; k++ {
-		c := &cols[basis[k]]
-		for idx, r := range c.rows {
-			w[r] = c.vals[idx]
+		rows, vals := cols.line(basis[k])
+		for idx, r := range rows {
+			w[r] = vals[idx]
 			touched = append(touched, r)
 			inCol[r] = true
 			if p := f.pinv[r]; p >= 0 && !queued[p] {
@@ -154,9 +173,9 @@ func factorizeBasis(cols []spCol, basis []int, m int) (*luFactors, bool) {
 			if v == 0 {
 				continue
 			}
-			f.urow[k] = append(f.urow[k], j)
-			f.uval[k] = append(f.uval[k], v)
-			lr, lv := f.lrow[j], f.lval[j]
+			f.u.idx = append(f.u.idx, j)
+			f.u.val = append(f.u.val, v)
+			lr, lv := f.l.line(int(j))
 			for idx, r := range lr {
 				if !inCol[r] {
 					w[r] = 0
@@ -188,15 +207,18 @@ func factorizeBasis(cols []spCol, basis []int, m int) (*luFactors, bool) {
 		f.diag[k] = d
 		f.pivrow[k] = piv
 		f.pinv[piv] = int32(k)
+		lo := len(f.l.idx)
 		for _, r := range touched {
 			if f.pinv[r] >= 0 || w[r] == 0 {
 				continue
 			}
-			f.lrow[k] = append(f.lrow[k], r)
-			f.lval[k] = append(f.lval[k], w[r]/d)
+			f.l.idx = append(f.l.idx, r)
+			f.l.val = append(f.l.val, w[r]/d)
 		}
-		sortLCol(f.lrow[k], f.lval[k])
-		f.nnz += len(f.lrow[k]) + len(f.urow[k]) + 1
+		sortLCol(f.l.idx[lo:], f.l.val[lo:])
+		f.l.start[k+1] = int32(len(f.l.idx))
+		f.u.start[k+1] = int32(len(f.u.idx))
+		f.nnz += len(f.l.idx) - lo + int(f.u.start[k+1]-f.u.start[k]) + 1
 		for _, r := range touched {
 			w[r] = 0
 			inCol[r] = false
@@ -228,7 +250,7 @@ func (f *luFactors) ftran(w, out []float64) {
 	for k := 0; k < m; k++ {
 		v := w[f.pivrow[k]]
 		if v != 0 {
-			lr, lv := f.lrow[k], f.lval[k]
+			lr, lv := f.l.line(k)
 			for idx, r := range lr {
 				w[r] -= v * lv[idx]
 			}
@@ -243,7 +265,7 @@ func (f *luFactors) ftran(w, out []float64) {
 		t := out[k] / f.diag[k]
 		out[k] = t
 		if t != 0 {
-			ur, uv := f.urow[k], f.uval[k]
+			ur, uv := f.u.line(k)
 			for idx, j := range ur {
 				out[j] -= t * uv[idx]
 			}
@@ -258,7 +280,7 @@ func (f *luFactors) btran(c, out []float64) {
 	m := f.m
 	for k := 0; k < m; k++ {
 		s := c[k]
-		ur, uv := f.urow[k], f.uval[k]
+		ur, uv := f.u.line(k)
 		for idx, j := range ur {
 			s -= uv[idx] * c[j]
 		}
@@ -266,7 +288,7 @@ func (f *luFactors) btran(c, out []float64) {
 	}
 	for k := m - 1; k >= 0; k-- {
 		s := c[k]
-		lr, lv := f.lrow[k], f.lval[k]
+		lr, lv := f.l.line(k)
 		for idx, r := range lr {
 			s -= lv[idx] * c[f.pinv[r]]
 		}
@@ -278,32 +300,67 @@ func (f *luFactors) btran(c, out []float64) {
 	}
 }
 
-// eta is one basis update: at pivot time, position pos of the basis was
-// replaced by a column whose FTRAN image had diagonal diag at pos and the
-// stored off-diagonal entries (by position).
-type eta struct {
-	pos  int32
-	diag float64
-	rows []int32
-	vals []float64
+// etaFile is the sequence of basis updates since the last
+// refactorization, stored compressed: update q replaced basis position
+// pos[q] by a column whose FTRAN image had diagonal diag[q] at that
+// position and the off-diagonal entries (by position)
+// idx/val[end[q-1]:end[q]] (from 0 for q = 0). The zero value is empty;
+// reset keeps the buffers for the next run of updates.
+type etaFile struct {
+	pos  []int32
+	diag []float64
+	end  []int32
+	idx  []int32
+	val  []float64
 }
 
-// applyFtran applies E⁻¹ to the position-indexed vector x in place.
-func (e *eta) applyFtran(x []float64) {
-	xp := x[e.pos] / e.diag
-	x[e.pos] = xp
-	if xp != 0 {
-		for idx, i := range e.rows {
-			x[i] -= e.vals[idx] * xp
+// len returns the number of updates in the file.
+func (e *etaFile) len() int { return len(e.pos) }
+
+// push closes an update whose off-diagonal entries were appended to
+// idx/val since the previous one.
+func (e *etaFile) push(pos int32, diag float64) {
+	e.pos = append(e.pos, pos)
+	e.diag = append(e.diag, diag)
+	e.end = append(e.end, int32(len(e.idx)))
+}
+
+// reset empties the file.
+func (e *etaFile) reset() {
+	e.pos, e.diag, e.end = e.pos[:0], e.diag[:0], e.end[:0]
+	e.idx, e.val = e.idx[:0], e.val[:0]
+}
+
+// ftran applies E⁻¹ of every update, oldest first, to the
+// position-indexed vector x in place.
+func (e *etaFile) ftran(x []float64) {
+	lo := int32(0)
+	for q, p := range e.pos {
+		hi := e.end[q]
+		xp := x[p] / e.diag[q]
+		x[p] = xp
+		if xp != 0 {
+			for k := lo; k < hi; k++ {
+				x[e.idx[k]] -= e.val[k] * xp
+			}
 		}
+		lo = hi
 	}
 }
 
-// applyBtran applies E⁻ᵀ to the position-indexed vector y in place.
-func (e *eta) applyBtran(y []float64) {
-	s := y[e.pos]
-	for idx, i := range e.rows {
-		s -= e.vals[idx] * y[i]
+// btran applies E⁻ᵀ of every update, newest first, to the
+// position-indexed vector y in place.
+func (e *etaFile) btran(y []float64) {
+	for q := len(e.pos) - 1; q >= 0; q-- {
+		lo := int32(0)
+		if q > 0 {
+			lo = e.end[q-1]
+		}
+		p := e.pos[q]
+		s := y[p]
+		for k := lo; k < e.end[q]; k++ {
+			s -= e.val[k] * y[e.idx[k]]
+		}
+		y[p] = s / e.diag[q]
 	}
-	y[e.pos] = s / e.diag
 }

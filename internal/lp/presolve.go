@@ -120,17 +120,14 @@ func presolve(p *Problem) *presolved {
 	u := append([]float64(nil), p.upper...)
 	cost := append([]float64(nil), p.cost...)
 
-	// Row-occurrence index per variable, and per-row working state. effRhs
-	// absorbs fixed variables (rhs minus their contribution), live counts
-	// the remaining unfixed variables. The per-variable occurrence lists
-	// carve up two flat buffers (counted in a first pass) instead of
-	// growing n small slices.
-	occRow := make([][]int32, n)
-	occVal := make([][]float64, n)
+	// Row-occurrence index per variable (compressed, column-major), and
+	// per-row working state. effRhs absorbs fixed variables (rhs minus
+	// their contribution), live counts the remaining unfixed variables.
 	effRhs := make([]float64, nRows)
 	live := make([]int, nRows)
 	dropRow := make([]bool, nRows)
 	colLive := make([]int, n)
+	occStart := make([]int32, n+1)
 	nnz := 0
 	for ri := range p.constraints {
 		c := &p.constraints[ri]
@@ -141,20 +138,16 @@ func presolve(p *Problem) *presolved {
 			colLive[v]++
 		}
 	}
-	occRowBuf := make([]int32, nnz)
-	occValBuf := make([]float64, nnz)
-	off := 0
 	for v := 0; v < n; v++ {
-		end := off + colLive[v]
-		occRow[v] = occRowBuf[off:off:end]
-		occVal[v] = occValBuf[off:off:end]
-		off = end
+		occStart[v+1] = occStart[v] + int32(colLive[v])
 	}
+	occ := sparseMat{start: occStart, idx: make([]int32, nnz), val: make([]float64, nnz)}
+	fill := append([]int32(nil), occStart[:n]...)
 	for ri := range p.constraints {
 		c := &p.constraints[ri]
 		for k, v := range c.idx {
-			occRow[v] = append(occRow[v], int32(ri))
-			occVal[v] = append(occVal[v], c.coeffs[k])
+			occ.idx[fill[v]], occ.val[fill[v]] = int32(ri), c.coeffs[k]
+			fill[v]++
 		}
 	}
 
@@ -168,11 +161,12 @@ func presolve(p *Problem) *presolved {
 		}
 		ps.fixed[v] = true
 		ps.fixVal[v] = val + 0 // canonicalize −0
-		for k, ri := range occRow[v] {
+		rows, vals := occ.line(v)
+		for k, ri := range rows {
 			if dropRow[ri] {
 				continue
 			}
-			effRhs[ri] -= occVal[v][k] * val
+			effRhs[ri] -= vals[k] * val
 			live[ri]--
 		}
 		changed = true
@@ -403,19 +397,38 @@ func presolve(p *Problem) *presolved {
 		red.upper[idx] = u[v]
 		ps.origIdx[v] = idx
 	}
+	// The kept rows' entries carve up two flat buffers sized by a counting
+	// pass, instead of growing two small slices per row.
+	nnz = 0
+	for ri := range p.constraints {
+		if dropRow[ri] {
+			continue
+		}
+		for _, v := range p.constraints[ri].idx {
+			if ps.origIdx[v] >= 0 {
+				nnz++
+			}
+		}
+	}
+	idxBuf := make([]int, nnz)
+	coeffBuf := make([]float64, nnz)
+	off := 0
 	for ri := range p.constraints {
 		if dropRow[ri] {
 			continue
 		}
 		c := &p.constraints[ri]
 		rc := constraint{name: c.name, sense: c.sense, rhs: effRhs[ri]}
+		start := off
 		for k, v := range c.idx {
 			if ps.origIdx[v] < 0 {
 				continue
 			}
-			rc.idx = append(rc.idx, ps.origIdx[v])
-			rc.coeffs = append(rc.coeffs, c.coeffs[k])
+			idxBuf[off] = ps.origIdx[v]
+			coeffBuf[off] = c.coeffs[k]
+			off++
 		}
+		rc.idx, rc.coeffs = idxBuf[start:off:off], coeffBuf[start:off:off]
 		red.constraints = append(red.constraints, rc)
 	}
 	red.MaxIters = p.MaxIters
@@ -435,23 +448,36 @@ func presolve(p *Problem) *presolved {
 // exact duplicates (no private part) simply drop. Signatures are exact
 // (float bits), so a merge never changes the feasible set or the optimum.
 //
-// Rows bucket by an FNV-64 hash of their shared content and are verified
-// entry for entry against the bucket's representatives (each frozen as it
-// was when first scanned), so a hash collision can never cause a wrong
-// merge and the hot path allocates only once per distinct representative.
+// Rows bucket by a 64-bit FNV-style hash of their shared content (one
+// multiply per word) and are verified entry for entry against the
+// bucket's representatives (each frozen as it was when first scanned), so
+// a hash collision can never cause a wrong merge. Representatives are
+// pairwise distinct, so a row matches at most one and the bucket's scan
+// order cannot change the outcome.
 func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, dropRow []bool, colLive []int, drop func(int)) {
 	p := ps.p
+	// Each representative's shared entries are frozen into one arena
+	// (repVars/repBits) at off, n — not two slices per representative.
+	// A bucket is a chain through next, headed in seen.
 	type repInfo struct {
-		eps   int // representative's private ε, -1 for exact-duplicate rows
-		sense Sense
-		rhs   uint64
-		vars  []int32  // shared entries, frozen at scan time
-		bits  []uint64 // matching coefficient float bits
+		rhs    uint64
+		eps    int32 // representative's private ε, -1 for exact-duplicate rows
+		off, n int32
+		next   int32 // next representative in the bucket, -1 at the end
+		sense  Sense
 	}
-	var reps []repInfo
-	seen := make(map[uint64][]int32) // shared-content hash → indices into reps
-	var sharedV []int32
-	var sharedB []uint64
+	// Sized for the worst case, every live row its own representative.
+	rowsLeft, entries := 0, 0
+	for ri := range p.constraints {
+		if !dropRow[ri] && live[ri] > 0 {
+			rowsLeft++
+			entries += live[ri]
+		}
+	}
+	reps := make([]repInfo, 0, rowsLeft)
+	repVars := make([]int32, 0, entries)
+	repBits := make([]uint64, 0, entries)
+	seen := make(map[uint64]int32, rowsLeft) // shared-content hash → first rep
 	for ri := range p.constraints {
 		if dropRow[ri] || live[ri] == 0 {
 			continue
@@ -459,17 +485,16 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 		c := &p.constraints[ri]
 		// Identify the private ε candidates: unfixed, coefficient exactly
 		// 1, live only in this row, unbounded, positive cost. Everything
-		// else is shared content.
+		// else is shared content, appended to the arena's tail; it stays
+		// there only if the row becomes a representative.
 		epsVar := -1
 		nEps := 0
-		sharedV, sharedB = sharedV[:0], sharedB[:0]
+		off := int32(len(repVars))
 		rhs := math.Float64bits(effRhs[ri])
 		h := uint64(14695981039346656037) // FNV-1a offset basis
 		mix := func(x uint64) {
-			for s := 0; s < 64; s += 8 {
-				h ^= (x >> s) & 0xff
-				h *= 1099511628211
-			}
+			h ^= x
+			h *= 1099511628211
 		}
 		mix(uint64(c.sense))
 		mix(rhs)
@@ -485,9 +510,12 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 			b := math.Float64bits(c.coeffs[k])
 			mix(uint64(v))
 			mix(b)
-			sharedV = append(sharedV, int32(v))
-			sharedB = append(sharedB, b)
+			repVars = append(repVars, int32(v))
+			repBits = append(repBits, b)
 		}
+		sharedV, sharedB := repVars[off:], repBits[off:]
+		// Until it is kept, the row's shared part is scratch.
+		repVars, repBits = repVars[:off], repBits[:off]
 		if nEps > 1 {
 			continue // ambiguous private part; leave the row alone
 		}
@@ -496,15 +524,20 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 		}
 		mix(uint64(nEps)) // the E/P kind: ε-pattern and exact rows never merge
 		matched := false
-		for _, pi := range seen[h] {
+		first, ok := seen[h]
+		if !ok {
+			first = -1
+		}
+		for pi := first; pi >= 0; pi = reps[pi].next {
 			r := &reps[pi]
 			if r.sense != c.sense || r.rhs != rhs ||
-				(r.eps >= 0) != (epsVar >= 0) || len(r.vars) != len(sharedV) {
+				(r.eps >= 0) != (epsVar >= 0) || int(r.n) != len(sharedV) {
 				continue
 			}
+			vars, bits := repVars[r.off:r.off+r.n], repBits[r.off:r.off+r.n]
 			same := true
 			for i := range sharedV {
-				if r.vars[i] != sharedV[i] || r.bits[i] != sharedB[i] {
+				if vars[i] != sharedV[i] || bits[i] != sharedB[i] {
 					same = false
 					break
 				}
@@ -517,19 +550,19 @@ func (ps *presolved) mergeDuplicates(u, cost, effRhs []float64, live []int, drop
 				// cost prices the shared shortfall once, and postsolve copies
 				// the representative's value back.
 				cost[r.eps] += cost[epsVar]
-				ps.dupOf[epsVar] = r.eps
+				ps.dupOf[epsVar] = int(r.eps)
 			}
 			drop(ri)
 			matched = true
 			break
 		}
 		if !matched {
+			n := int32(len(sharedV))
+			repVars, repBits = repVars[:off+n], repBits[:off+n]
 			reps = append(reps, repInfo{
-				eps: epsVar, sense: c.sense, rhs: rhs,
-				vars: append([]int32(nil), sharedV...),
-				bits: append([]uint64(nil), sharedB...),
+				eps: int32(epsVar), sense: c.sense, rhs: rhs, off: off, n: n, next: first,
 			})
-			seen[h] = append(seen[h], int32(len(reps)-1))
+			seen[h] = int32(len(reps) - 1)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package lp
 // must match a cold solve after arbitrary row additions and excisions.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -68,6 +69,128 @@ func TestLUEtaDenseAgreement(t *testing.T) {
 		}
 		assertNoNegZero(t, "lu", luSol.X)
 		assertNoNegZero(t, "eta", etaSol.X)
+	}
+}
+
+// blockProblem returns a problem made of blocks independent copies of one
+// small LP (a vertex cover of a triangle with distinct costs). No row is
+// a singleton, forcing or duplicate, so presolve keeps every block, and
+// none has a crash column better than an artificial, so every block
+// pivots.
+func blockProblem(blocks int) *Problem {
+	p := NewProblem()
+	for b := 0; b < blocks; b++ {
+		var v [3]int
+		for i := range v {
+			v[i] = p.AddVariable(fmt.Sprintf("x%d_%d", b, i))
+			p.SetUpperBound(v[i], 1)
+			p.AddCost(v[i], float64(i+1))
+		}
+		for i := range v {
+			p.AddNamedConstraint(fmt.Sprintf("cover%d_%d", b, i),
+				map[int]float64{v[i]: 1, v[(i+1)%3]: 1}, GE, 1)
+		}
+	}
+	return p
+}
+
+// TestEtaEveryReachesComponents checks that the refactorization interval
+// a problem carries governs every component solve: with etaEvery = 1 each
+// pivot of each component is followed by a fresh LU factorization, so no
+// eta update ever outlives its pivot. (Component solves once ran under a
+// copied problem that dropped the setting.)
+func TestEtaEveryReachesComponents(t *testing.T) {
+	one, err := blockProblem(1).Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.etaPeak == 0 {
+		t.Fatalf("one block: eta peak 0 after %d pivots; the block must pivot through the eta file", one.Iters)
+	}
+	p := blockProblem(4)
+	def, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Components != 4 {
+		t.Fatalf("problem split into %d components, want 4", def.Components)
+	}
+	p.etaEvery = 1
+	lu, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lu.Components != 4 || lu.Iters != def.Iters {
+		t.Fatalf("pure-LU solve: %d components, %d pivots; default: %d, %d",
+			lu.Components, lu.Iters, def.Components, def.Iters)
+	}
+	if lu.etaPeak != 0 {
+		t.Fatalf("etaEvery = 1: an eta file of %d updates outlived its pivot", lu.etaPeak)
+	}
+	for v := range def.X {
+		if lu.X[v] != def.X[v] {
+			t.Fatalf("var %s: pure LU %v, default %v", p.Name(v), lu.X[v], def.X[v])
+		}
+	}
+}
+
+// TestComponentSolvesIndependentOfWorkers solves a problem of many
+// components of mixed sizes — so a worker's reused scratch grows, shrinks
+// back and grows again — cold and then warm from its own basis, with one
+// worker and with several, and requires the same bits either way: X,
+// pivot counts, and Basis JSON (each component writes its part of the
+// merged basis in place).
+func TestComponentSolvesIndependentOfWorkers(t *testing.T) {
+	build := func() *Problem {
+		p := NewProblem()
+		for b, size := range []int{3, 8, 4, 6, 3, 7, 5, 8, 3} {
+			v := make([]int, size)
+			for i := range v {
+				v[i] = p.AddVariable(fmt.Sprintf("x%d_%d", b, i))
+				p.SetUpperBound(v[i], 1)
+				p.AddCost(v[i], float64(i%4+1)+float64(b)*1e-3)
+			}
+			for i := range v {
+				e := p.AddVariable(fmt.Sprintf("e%d_%d", b, i))
+				p.AddCost(e, 5+float64(i))
+				p.AddNamedConstraint(fmt.Sprintf("cover%d_%d", b, i),
+					map[int]float64{v[i]: 1, v[(i+1)%size]: 1, e: 1}, GE, 1)
+			}
+		}
+		return p
+	}
+	run := func(workers int) (cold, warm *Solution, coldBasis, warmBasis []byte) {
+		p := build()
+		p.Parallel = workers
+		var err error
+		if cold, err = p.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		if warm, err = p.ReoptimizeDual(cold.Basis); err != nil {
+			t.Fatal(err)
+		}
+		coldBasis, _ = json.Marshal(cold.Basis)
+		warmBasis, _ = json.Marshal(warm.Basis)
+		return
+	}
+	c1, w1, cb1, wb1 := run(1)
+	if c1.Components != 9 || !w1.WarmStarted {
+		t.Fatalf("%d components, warm started %v; want 9 components and a warm start", c1.Components, w1.WarmStarted)
+	}
+	c4, w4, cb4, wb4 := run(4)
+	for _, pair := range [][2]*Solution{{c1, c4}, {w1, w4}} {
+		a, b := pair[0], pair[1]
+		if a.Iters != b.Iters || a.DualIters != b.DualIters {
+			t.Fatalf("pivots: 1 worker %d/%d, 4 workers %d/%d", a.Iters, a.DualIters, b.Iters, b.DualIters)
+		}
+		for v := range a.X {
+			if math.Float64bits(a.X[v]) != math.Float64bits(b.X[v]) {
+				t.Fatalf("var %d: 1 worker %v, 4 workers %v", v, a.X[v], b.X[v])
+			}
+		}
+	}
+	if string(cb1) != string(cb4) || string(wb1) != string(wb4) {
+		t.Fatalf("basis JSON differs between 1 and 4 workers:\n%s\n%s", cb1, cb4)
 	}
 }
 

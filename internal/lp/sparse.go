@@ -1,8 +1,8 @@
 // Sparse revised simplex. The SherLock encodings are >95% zeros — each
 // Mostly-Protected row touches only the window's candidate keys — so the
-// constraint matrix is stored column-sparse and the working state is a
-// sparse LU factorization of the basis (lu.go), not a tableau or a dense
-// inverse:
+// constraint matrix is stored compressed (sparseMat, column-major and
+// row-major) and the working state is a sparse LU factorization of the
+// basis (lu.go), not a tableau or a dense inverse:
 //
 //   - A crash basis exploits the encoding's structure: every GE row with a
 //     positive singleton column (the ε/t auxiliary variables) starts with
@@ -16,14 +16,16 @@
 //     (the revised analogue of the dense tableau's objective row), with
 //     Dantzig pricing and the same Bland's-rule anti-cycling switch as the
 //     dense backend.
-//   - Warm starts (basis.go) map a prior optimal basis by row/column name,
-//     refactorize it against the current problem data, and repair any
-//     primal infeasibility with dual simplex pivots (dual.go); anything
-//     unrepairable falls back to a cold start.
+//   - Warm starts (basis.go) map a prior optimal basis by row and column
+//     identity (rowID, colID — structured, never concatenated into
+//     strings), refactorize it against the current problem data, and
+//     repair any primal infeasibility with dual simplex pivots (dual.go);
+//     anything unrepairable falls back to a cold start.
 //   - Before a solve, a presolve pass (presolve.go) fixes pinned variables
 //     and drops redundant rows; independent connected components of the
 //     reduced problem are solved separately, concurrently when
-//     Problem.Parallel allows (decompose.go).
+//     Problem.Parallel allows (decompose.go), each from a standard form
+//     built straight out of the reduced problem.
 //
 // Determinism: every choice — pivot selection, refactorization points,
 // presolve order, component order — is a pure function of the problem, so
@@ -44,10 +46,20 @@ const feasTol = 1e-7
 // returned to users.
 const fallbackStatus Status = -1
 
-// spCol is one sparsely stored column of the standard-form matrix.
-type spCol struct {
-	rows []int32
-	vals []float64
+// sparseMat is a compressed sparse matrix in either orientation: line k
+// (a column, or a row) holds the entries idx/val[start[k]:start[k+1]].
+// It is built by counting first and filling once — three arrays however
+// many lines it has, not one or two small slices per line.
+type sparseMat struct {
+	start []int32
+	idx   []int32
+	val   []float64
+}
+
+// line returns the entries of line k.
+func (s *sparseMat) line(k int) ([]int32, []float64) {
+	lo, hi := s.start[k], s.start[k+1]
+	return s.idx[lo:hi], s.val[lo:hi]
 }
 
 // standardForm is the problem in computational standard form: constraints
@@ -58,23 +70,28 @@ type spCol struct {
 //	[n, artAt)        slack/surplus variables
 //	[artAt, total)    artificial variables
 //
-// Row and column names are the stable identities a Basis is keyed by.
+// The row and column identities (rowID, colID) are what a Basis is keyed
+// by; they are kept structured and turned into strings only when a basis
+// is serialized.
 type standardForm struct {
+	ws    *workspace // the arenas this standard form and its solve use
 	m, n  int
 	nArt  int
 	artAt int
 	total int
 
-	cols    []spCol
-	rhs     []float64
-	rowName []string
-	colName []string
+	cols sparseMat // column-major, rows ascending within each column
+	// Row-major copy of the same matrix, columns ascending within each
+	// row. The BTRAN-based reduced-cost update and the dual ratio test
+	// walk rows, not columns.
+	rows sparseMat
+	rhs  []float64
+	cost []float64 // objective per structural column
 
-	// Row-major adjacency over the same matrix: rowCols[i]/rowVals[i] list
-	// every column touching row i (ascending column order). The BTRAN-based
-	// reduced-cost update and the dual ratio test walk rows, not columns.
-	rowCols [][]int32
-	rowVals [][]float64
+	rowID  []rowID  // per row
+	names  []string // the source problem's variable names
+	vars   []int    // per structural column: its variable in names
+	colRow []int32  // per slack/artificial column j: its row, at j−n
 
 	slackCol  []int     // per row: slack/surplus column, -1 if none
 	slackSign []float64 // per row: +1 (LE slack) or -1 (GE surplus)
@@ -88,132 +105,269 @@ type standardForm struct {
 	posSingletonVal []float64
 }
 
-// sfRow is a standard-form row under construction.
-type sfRow struct {
-	name   string
-	idx    []int
-	coeffs []float64
-	sense  Sense
-	rhs    float64
+// colID returns column j's identity.
+func (sf *standardForm) colID(j int) colID {
+	switch {
+	case j < sf.n:
+		return colID{kind: 'v', row: rowID{name: sf.names[sf.vars[j]]}}
+	case j < sf.artAt:
+		return colID{kind: 's', row: sf.rowID[sf.colRow[j-sf.n]]}
+	}
+	return colID{kind: 'a', row: sf.rowID[sf.colRow[j-sf.n]]}
 }
 
-func buildStandardForm(p *Problem) *standardForm {
-	n := len(p.names)
-	rows := make([]sfRow, 0, len(p.constraints)+n)
-	for _, c := range p.constraints {
-		rows = append(rows, sfRow{name: c.name, idx: c.idx, coeffs: c.coeffs, sense: c.sense, rhs: c.rhs})
+// flip is a sense with both sides negated.
+func (s Sense) flip() Sense {
+	switch s {
+	case LE:
+		return GE
+	case GE:
+		return LE
 	}
-	// Materialize upper bounds as explicit ≤ rows, exactly like the dense
-	// backend, so both backends solve the identical standard form.
-	for v, u := range p.upper {
-		if u < infUB {
-			rows = append(rows, sfRow{name: "ub(" + p.names[v] + ")", idx: []int{v}, coeffs: []float64{1}, sense: LE, rhs: u})
-		}
-	}
-	// Normalize to rhs ≥ 0.
-	for i := range rows {
-		if rows[i].rhs < 0 {
-			neg := make([]float64, len(rows[i].coeffs))
-			for k, a := range rows[i].coeffs {
-				neg[k] = -a
-			}
-			rows[i].coeffs = neg
-			rows[i].rhs = -rows[i].rhs
-			switch rows[i].sense {
-			case LE:
-				rows[i].sense = GE
-			case GE:
-				rows[i].sense = LE
-			}
-		}
-	}
+	return s
+}
 
-	nSlack, nArt := 0, 0
-	for _, r := range rows {
-		switch r.sense {
-		case LE:
-			nSlack++
-		case GE:
-			nSlack++
-			nArt++
-		case EQ:
-			nArt++
-		}
-	}
+// stdRows is the number of standard-form rows of the subproblem of p made
+// of vars and rows: the constraints plus one bound row per finite upper
+// bound.
+func stdRows(p *Problem, vars, rows []int) int {
 	m := len(rows)
-	total := n + nSlack + nArt
-	sf := &standardForm{
-		m: m, n: n, nArt: nArt, artAt: n + nSlack, total: total,
-		cols:    make([]spCol, total),
-		rhs:     make([]float64, m),
-		rowName: make([]string, m),
-		colName: make([]string, total),
-
-		slackCol:  make([]int, m),
-		slackSign: make([]float64, m),
-		artCol:    make([]int, m),
-
-		posSingleton:    make([]int, m),
-		posSingletonVal: make([]float64, m),
+	for _, v := range vars {
+		if p.upper[v] < infUB {
+			m++
+		}
 	}
-	for v := 0; v < n; v++ {
-		sf.colName[v] = "v:" + p.names[v]
+	return m
+}
+
+// carve splits the next n elements off *buf. Carving the many short
+// per-row and per-column arrays of a component solve out of a few
+// buffers keeps the allocation count per component constant.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
+// workspace is one solve worker's scratch: everything a component solve
+// uses and drops — the standard form's matrices and per-row arrays, the
+// simplex working vectors, the LU factors and their work arrays — comes
+// out of its arenas, and the next component the worker solves reuses
+// them. Only what outlives the component solve — the row identities and
+// basic columns its Basis keeps, and its X — lives elsewhere.
+type workspace struct {
+	ints   arena[int]
+	int32s arena[int32]
+	floats arena[float64]
+	flags  arena[bool]
+}
+
+// reset releases everything taken since the last reset, for the next
+// component.
+func (ws *workspace) reset() {
+	ws.ints.off, ws.int32s.off, ws.floats.off, ws.flags.off = 0, 0, 0, 0
+}
+
+// arena is a bump allocator over a reusable buffer.
+type arena[T any] struct {
+	buf []T
+	off int
+}
+
+// take returns n zeroed elements, valid until the next reset. When the
+// buffer runs short a buffer of at least twice the size replaces it;
+// slices taken from the old buffer stay valid.
+func (a *arena[T]) take(n int) []T {
+	if a.off+n > len(a.buf) {
+		a.buf, a.off = make([]T, max(n, 2*len(a.buf))), 0
 	}
-	slack, art := n, sf.artAt
-	for i, r := range rows {
-		sf.rhs[i] = r.rhs
-		sf.rowName[i] = r.name
-		sf.slackCol[i], sf.artCol[i], sf.posSingleton[i] = -1, -1, -1
-		for k, v := range r.idx {
-			if a := r.coeffs[k]; a != 0 {
-				sf.cols[v].rows = append(sf.cols[v].rows, int32(i))
-				sf.cols[v].vals = append(sf.cols[v].vals, a)
+	s := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	clear(s)
+	return s
+}
+
+// buildStandardForm builds the standard form of the subproblem of p made
+// of the variables vars and the constraints rows (both ascending). local
+// maps each variable of p to its position in vars. The standard form is
+// read straight out of p — no intermediate Problem is built — and each
+// component's is the row/column submatrix of the whole problem's, so row
+// and column identities stay globally valid.
+//
+// Upper bounds become explicit ≤ rows after the constraints, exactly like
+// the dense backend, so both backends solve the identical standard form.
+// Every row is normalized to rhs ≥ 0 (a negative rhs negates the row).
+//
+// The row identities are written to ids, which must hold stdRows(p,
+// vars, rows) entries, or to a fresh slice when ids is nil: a solved
+// component's Basis keeps them as its rows.
+func buildStandardForm(ws *workspace, p *Problem, vars, rows []int, local []int32, ids []rowID) *standardForm {
+	n, nc := len(vars), len(rows)
+	sense := func(s Sense, rhs float64) Sense {
+		if rhs < 0 {
+			return s.flip()
+		}
+		return s
+	}
+
+	// Pass 1: sizes. Each row's entries are its nonzero structural
+	// coefficients plus its slack/surplus and artificial columns.
+	m, nnz, nSlack, nArt := nc, 0, 0, 0
+	count := func(s Sense) {
+		switch s {
+		case LE:
+			nSlack++
+		case GE:
+			nSlack++
+			nArt++
+		case EQ:
+			nArt++
+		}
+	}
+	for _, ri := range rows {
+		c := &p.constraints[ri]
+		for _, a := range c.coeffs {
+			if a != 0 {
+				nnz++
 			}
 		}
-		switch r.sense {
-		case LE:
-			sf.cols[slack] = spCol{rows: []int32{int32(i)}, vals: []float64{1}}
-			sf.colName[slack] = "s:" + r.name
-			sf.slackCol[i], sf.slackSign[i] = slack, 1
+		count(sense(c.sense, c.rhs))
+	}
+	for _, v := range vars {
+		if u := p.upper[v]; u < infUB {
+			m++
+			nnz++
+			count(sense(LE, u))
+		}
+	}
+	total := n + nSlack + nArt
+	nnz += nSlack + nArt
+
+	if ids == nil {
+		ids = make([]rowID, m)
+	}
+	ints := ws.ints.take(3 * m)
+	floats := ws.floats.take(3*m + n + 2*nnz)
+	int32s := ws.int32s.take((nSlack + nArt) + 2*(total+1) + (m + 1) + 2*nnz)
+	sf := &standardForm{
+		ws: ws,
+		m:  m, n: n, nArt: nArt, artAt: n + nSlack, total: total,
+		cols: sparseMat{start: carve(&int32s, total+1), idx: carve(&int32s, nnz), val: carve(&floats, nnz)},
+		rows: sparseMat{start: carve(&int32s, m+1), idx: carve(&int32s, nnz), val: carve(&floats, nnz)},
+		rhs:  carve(&floats, m),
+		cost: carve(&floats, n),
+
+		rowID:  ids,
+		names:  p.names,
+		vars:   vars,
+		colRow: carve(&int32s, nSlack+nArt),
+
+		slackCol:  carve(&ints, m),
+		slackSign: carve(&floats, m),
+		artCol:    carve(&ints, m),
+
+		posSingleton:    carve(&ints, m),
+		posSingletonVal: carve(&floats, m),
+	}
+	for j, v := range vars {
+		sf.cost[j] = p.cost[v]
+	}
+
+	// Pass 2: the row-major matrix, one row after another. A row's
+	// structural entries come in ascending column order (constraints keep
+	// theirs sorted by variable, and local preserves that order), then its
+	// slack or surplus, then its artificial: ascending overall, the
+	// deterministic accumulation order the pivot-row products rely on.
+	rs, at := sf.rows.start, int32(0)
+	put := func(j int, a float64) {
+		sf.rows.idx[at], sf.rows.val[at] = int32(j), a
+		at++
+	}
+	slack, art, ub := n, sf.artAt, 0
+	for i := 0; i < m; i++ {
+		rs[i] = at
+		var s Sense
+		if i < nc {
+			c := &p.constraints[rows[i]]
+			sf.rowID[i] = constraintRowID(c.name)
+			s = sense(c.sense, c.rhs)
+			neg := c.rhs < 0
+			for k, v := range c.idx {
+				a := c.coeffs[k]
+				if neg {
+					a = -a
+				}
+				if a != 0 {
+					put(int(local[v]), a)
+				}
+			}
+			sf.rhs[i] = c.rhs
+			if neg {
+				sf.rhs[i] = -c.rhs
+			}
+		} else {
+			for p.upper[vars[ub]] >= infUB {
+				ub++
+			}
+			u := p.upper[vars[ub]]
+			sf.rowID[i] = rowID{ub: true, name: p.names[vars[ub]]}
+			s = sense(LE, u)
+			a := 1.0
+			if u < 0 {
+				a, u = -1, -u
+			}
+			put(ub, a)
+			sf.rhs[i] = u
+			ub++
+		}
+		sf.slackCol[i], sf.artCol[i], sf.posSingleton[i] = -1, -1, -1
+		if s == LE || s == GE {
+			sign := 1.0
+			if s == GE {
+				sign = -1
+			}
+			put(slack, sign)
+			sf.colRow[slack-n] = int32(i)
+			sf.slackCol[i], sf.slackSign[i] = slack, sign
 			slack++
-		case GE:
-			sf.cols[slack] = spCol{rows: []int32{int32(i)}, vals: []float64{-1}}
-			sf.colName[slack] = "s:" + r.name
-			sf.slackCol[i], sf.slackSign[i] = slack, -1
-			slack++
-			sf.cols[art] = spCol{rows: []int32{int32(i)}, vals: []float64{1}}
-			sf.colName[art] = "a:" + r.name
-			sf.artCol[i] = art
-			art++
-		case EQ:
-			sf.cols[art] = spCol{rows: []int32{int32(i)}, vals: []float64{1}}
-			sf.colName[art] = "a:" + r.name
+		}
+		if s == GE || s == EQ {
+			put(art, 1)
+			sf.colRow[art-n] = int32(i)
 			sf.artCol[i] = art
 			art++
 		}
 	}
+	rs[m] = at
+
+	// The column-major copy is the transpose, filled row-ascending so each
+	// column's entries are in ascending row order.
+	cs, cur := sf.cols.start, carve(&int32s, total+1)
+	for _, j := range sf.rows.idx {
+		cs[j+1]++
+	}
+	for j := 0; j < total; j++ {
+		cs[j+1] += cs[j]
+	}
+	copy(cur, cs)
+	for i := 0; i < m; i++ {
+		cols, vals := sf.rows.line(i)
+		for k, j := range cols {
+			sf.cols.idx[cur[j]], sf.cols.val[cur[j]] = int32(i), vals[k]
+			cur[j]++
+		}
+	}
+
 	// Positive structural singletons (crash-basis candidates), first by
 	// column order per row.
 	for j := 0; j < n; j++ {
-		c := &sf.cols[j]
-		if len(c.rows) != 1 || c.vals[0] <= eps {
+		ri, rv := sf.cols.line(j)
+		if len(ri) != 1 || rv[0] <= eps {
 			continue
 		}
-		if i := int(c.rows[0]); sf.posSingleton[i] < 0 {
+		if i := int(ri[0]); sf.posSingleton[i] < 0 {
 			sf.posSingleton[i] = j
-			sf.posSingletonVal[i] = c.vals[0]
-		}
-	}
-	// Row-major adjacency, filled column-ascending so each row's list is in
-	// ascending column order (a deterministic accumulation order for the
-	// pivot-row products).
-	sf.rowCols = make([][]int32, m)
-	sf.rowVals = make([][]float64, m)
-	for j := 0; j < total; j++ {
-		c := &sf.cols[j]
-		for k, ri := range c.rows {
-			sf.rowCols[ri] = append(sf.rowCols[ri], int32(j))
-			sf.rowVals[ri] = append(sf.rowVals[ri], c.vals[k])
+			sf.posSingletonVal[i] = rv[0]
 		}
 	}
 	return sf
@@ -229,20 +383,23 @@ type revised struct {
 	basis   []int  // basic column per basis position
 	inBasis []bool // per column
 	lu      *luFactors
-	etas    []eta
+	etas    etaFile
 	etaNNZ  int
 	xB      []float64 // basic values per position
 
 	cost []float64 // current phase's cost vector over all columns
 	d    []float64 // maintained reduced costs (nil outside iterate phases)
+	dBuf []float64 // d's storage while maintained
 
 	iters     int
 	dualIters int
+	etaPeak   int // longest eta file left standing after a pivot
 
 	refactorEvery int
 	noRefactor    bool // a refactorization failed; ride the eta file out
 
-	// Scratch, allocated once per solve.
+	// Scratch, taken once per solve from the workspace (as are xB, cost,
+	// dBuf, basis and inBasis).
 	wr     []float64 // length m, original-row indexed (FTRAN in / BTRAN out)
 	t      []float64 // length m, position indexed (FTRAN result)
 	pz     []float64 // length m, position indexed (BTRAN input)
@@ -252,18 +409,25 @@ type revised struct {
 }
 
 // newBare allocates the working state without choosing a basis; the caller
-// installs one via applyWarm or the crash construction.
+// installs one in r.basis/r.inBasis, via applyWarm or the crash
+// construction.
 func newBare(p *Problem, sf *standardForm) *revised {
-	m := sf.m
+	m, total := sf.m, sf.total
+	floats := sf.ws.floats.take(4*m + 3*total)
+	flags := sf.ws.flags.take(2 * total)
 	return &revised{
 		p: p, sf: sf,
 		refactorEvery: p.etaEveryOrDefault(),
-		xB:            make([]float64, m),
-		wr:            make([]float64, m),
-		t:             make([]float64, m),
-		pz:            make([]float64, m),
-		alpha:         make([]float64, sf.total),
-		ainCol:        make([]bool, sf.total),
+		basis:         sf.ws.ints.take(m),
+		inBasis:       carve(&flags, total),
+		xB:            carve(&floats, m),
+		cost:          carve(&floats, total),
+		dBuf:          carve(&floats, total),
+		wr:            carve(&floats, m),
+		t:             carve(&floats, m),
+		pz:            carve(&floats, m),
+		alpha:         carve(&floats, total),
+		ainCol:        carve(&flags, total),
 	}
 }
 
@@ -274,8 +438,6 @@ func newBare(p *Problem, sf *standardForm) *revised {
 func newRevised(p *Problem, sf *standardForm) *revised {
 	m := sf.m
 	r := newBare(p, sf)
-	r.basis = make([]int, m)
-	r.inBasis = make([]bool, sf.total)
 	for i := 0; i < m; i++ {
 		col, _ := sf.crashCol(i)
 		r.basis[i] = col
@@ -283,7 +445,7 @@ func newRevised(p *Problem, sf *standardForm) *revised {
 	}
 	// A diagonal basis cannot be singular (every crash coefficient is ±1 or
 	// a nonzero singleton), so the factorization always succeeds.
-	r.lu, _ = factorizeBasis(sf.cols, r.basis, m)
+	r.lu, _ = factorizeBasis(sf.ws, &sf.cols, r.basis, m)
 	r.computeXB()
 	return r
 }
@@ -307,22 +469,18 @@ func (sf *standardForm) crashCol(i int) (int, float64) {
 func (r *revised) computeXB() {
 	copy(r.wr, r.sf.rhs)
 	r.lu.ftran(r.wr, r.xB)
-	for q := range r.etas {
-		r.etas[q].applyFtran(r.xB)
-	}
+	r.etas.ftran(r.xB)
 }
 
 // ftranCol computes t = B⁻¹·A_j for column j into out (length m,
 // position indexed).
 func (r *revised) ftranCol(j int, out []float64) {
-	c := &r.sf.cols[j]
-	for k, ri := range c.rows {
-		r.wr[ri] = c.vals[k]
+	rows, vals := r.sf.cols.line(j)
+	for k, ri := range rows {
+		r.wr[ri] = vals[k]
 	}
 	r.lu.ftran(r.wr, out)
-	for q := range r.etas {
-		r.etas[q].applyFtran(out)
-	}
+	r.etas.ftran(out)
 }
 
 // pivotRow computes the leave-th row of B⁻¹A into r.alpha and returns the
@@ -334,9 +492,7 @@ func (r *revised) pivotRow(leave int) []int32 {
 	sf := r.sf
 	pz := r.pz
 	pz[leave] = 1
-	for q := len(r.etas) - 1; q >= 0; q-- {
-		r.etas[q].applyBtran(pz)
-	}
+	r.etas.btran(pz)
 	r.lu.btran(pz, r.wr)
 	cols := r.atouch[:0]
 	for ri := 0; ri < sf.m; ri++ {
@@ -345,7 +501,7 @@ func (r *revised) pivotRow(leave int) []int32 {
 		if br == 0 {
 			continue
 		}
-		rc, rv := sf.rowCols[ri], sf.rowVals[ri]
+		rc, rv := sf.rows.line(ri)
 		for idx, j := range rc {
 			if !r.ainCol[j] {
 				r.ainCol[j] = true
@@ -375,12 +531,10 @@ func (r *revised) computeD() {
 	for i := 0; i < sf.m; i++ {
 		r.pz[i] = r.cost[r.basis[i]]
 	}
-	for q := len(r.etas) - 1; q >= 0; q-- {
-		r.etas[q].applyBtran(r.pz)
-	}
+	r.etas.btran(r.pz)
 	r.lu.btran(r.pz, r.wr) // wr = y, the simplex multipliers by original row
 	if r.d == nil {
-		r.d = make([]float64, sf.total)
+		r.d = r.dBuf
 	}
 	for j := 0; j < sf.total; j++ {
 		if r.inBasis[j] {
@@ -388,9 +542,9 @@ func (r *revised) computeD() {
 			continue
 		}
 		s := r.cost[j]
-		c := &sf.cols[j]
-		for k, ri := range c.rows {
-			s -= r.wr[ri] * c.vals[k]
+		rows, vals := sf.cols.line(j)
+		for k, ri := range rows {
+			s -= r.wr[ri] * vals[k]
 		}
 		r.d[j] = s
 	}
@@ -424,13 +578,13 @@ func (r *revised) price(colLimit int, bland bool) int {
 // false if the factorization failed, in which case the old representation
 // stays live and refactorization is disabled for the rest of the solve.
 func (r *revised) refactor() bool {
-	lu, ok := factorizeBasis(r.sf.cols, r.basis, r.sf.m)
+	lu, ok := factorizeBasis(r.sf.ws, &r.sf.cols, r.basis, r.sf.m)
 	if !ok {
 		r.noRefactor = true
 		return false
 	}
 	r.lu = lu
-	r.etas = r.etas[:0]
+	r.etas.reset()
 	r.etaNNZ = 0
 	r.computeXB()
 	if r.d != nil {
@@ -472,7 +626,8 @@ func (r *revised) pivot(leave, enter int, t []float64, acols []int32) {
 		r.clearAlpha(acols)
 	}
 	theta := r.xB[leave] / pv
-	e := eta{pos: int32(leave), diag: pv}
+	e := &r.etas
+	lo := len(e.idx)
 	for i := 0; i < m; i++ {
 		if i == leave {
 			continue
@@ -481,21 +636,22 @@ func (r *revised) pivot(leave, enter int, t []float64, acols []int32) {
 		if ti == 0 {
 			continue
 		}
-		e.rows = append(e.rows, int32(i))
-		e.vals = append(e.vals, ti)
+		e.idx = append(e.idx, int32(i))
+		e.val = append(e.val, ti)
 		r.xB[i] -= ti * theta
 	}
 	r.xB[leave] = theta
-	r.etas = append(r.etas, e)
-	r.etaNNZ += len(e.rows) + 1
+	e.push(int32(leave), pv)
+	r.etaNNZ += len(e.idx) - lo + 1
 	r.inBasis[r.basis[leave]] = false
 	r.inBasis[enter] = true
 	r.basis[leave] = enter
 	r.iters++
 	if !r.noRefactor &&
-		(len(r.etas) >= r.refactorEvery || r.etaNNZ > r.lu.nnz+etaFillSlack*m) {
+		(e.len() >= r.refactorEvery || r.etaNNZ > r.lu.nnz+etaFillSlack*m) {
 		r.refactor()
 	}
+	r.etaPeak = max(r.etaPeak, e.len())
 }
 
 // chooseLeave runs the primal ratio test on the FTRAN column t: minimum
@@ -536,7 +692,7 @@ func (r *revised) iterate(colLimit int) Status {
 		t := r.t
 		r.ftranCol(enter, t)
 		leave, minRatio := r.chooseLeave(t)
-		if leave >= 0 && math.Abs(t[leave]) < stabTol && len(r.etas) > 0 && !r.noRefactor {
+		if leave >= 0 && math.Abs(t[leave]) < stabTol && r.etas.len() > 0 && !r.noRefactor {
 			// Suspiciously small pivot through a long eta file: refactorize
 			// and redo the ratio test on clean numbers.
 			if r.refactor() {
@@ -564,7 +720,7 @@ func (r *revised) iterate(colLimit int) Status {
 // real problem exists.
 func (r *revised) phase1() Status {
 	sf := r.sf
-	r.cost = make([]float64, sf.total)
+	clear(r.cost)
 	for j := sf.artAt; j < sf.total; j++ {
 		r.cost[j] = 1
 	}
@@ -624,10 +780,7 @@ func (r *revised) purgeArtificials() {
 // setPhase2Costs installs the real objective as the working cost vector.
 func (r *revised) setPhase2Costs() {
 	sf := r.sf
-	r.cost = make([]float64, sf.total)
-	for v, c := range r.p.cost {
-		r.cost[v] = c
-	}
+	clear(r.cost[copy(r.cost, sf.cost):])
 }
 
 // optimize drives the current basis to optimality:
@@ -687,7 +840,7 @@ func (r *revised) optimize(warm bool) Status {
 // the final basis alone — identical whether the solve was warm or cold,
 // primal or dual, one eta file or another.
 func (r *revised) finalize() {
-	if len(r.etas) > 0 {
+	if r.etas.len() > 0 {
 		if !r.refactor() {
 			return // singular final refactorization: keep the maintained xB
 		}
@@ -715,33 +868,33 @@ func (r *revised) extract() []float64 {
 	return x
 }
 
-// snapshot captures the solve's final basis as (row name, basic column
-// name) pairs — the identities a warm start on a related problem maps onto
-// its own standard form before refactorizing. Numerical state is never
+// snapshot captures the solve's final basis as (row, basic column)
+// identity pairs — what a warm start on a related problem maps onto its
+// own standard form before refactorizing. Numerical state is never
 // carried: the next solve rebuilds it from its own problem data, which is
 // what makes the snapshot trivially serializable and immune to coefficient
-// changes (see applyWarm).
-func (r *revised) snapshot() *Basis {
+// changes (see applyWarm). The basic columns are written to bcol (len m),
+// or to a fresh slice when bcol is nil.
+func (r *revised) snapshot(bcol []colID) *Basis {
 	sf := r.sf
-	b := &Basis{
-		rows: sf.rowName,
-		bcol: make([]string, sf.m),
+	if bcol == nil {
+		bcol = make([]colID, sf.m)
 	}
 	for i, c := range r.basis {
-		b.bcol[i] = sf.colName[c]
+		bcol[i] = sf.colID(c)
 	}
-	return b
+	return &Basis{rows: sf.rowID, bcol: bcol}
 }
 
 // solveComponent runs the revised simplex on one (sub)problem's standard
-// form, warm-started when warmIdx (a Basis.index) is non-empty and maps
-// onto it.
-func solveComponent(p *Problem, sf *standardForm, warmIdx map[string]string) *Solution {
+// form, warm-started when warm carries a basis that maps onto it. An
+// optimal solve's basic columns go to bcol (see snapshot).
+func solveComponent(p *Problem, sf *standardForm, warm warmIndex, bcol []colID) *Solution {
 	var r *revised
 	warmApplied := false
-	if sf.m > 0 && len(warmIdx) > 0 {
+	if sf.m > 0 && len(warm.at) > 0 {
 		rw := newBare(p, sf)
-		if rw.applyWarm(warmIdx) {
+		if rw.applyWarm(warm) {
 			r, warmApplied = rw, true
 		}
 	}
@@ -765,13 +918,14 @@ func solveComponent(p *Problem, sf *standardForm, warmIdx map[string]string) *So
 	r.finalize()
 	x := r.extract()
 	obj := 0.0
-	for v, c := range p.cost {
+	for v, c := range sf.cost {
 		obj += c * x[v]
 	}
 	return &Solution{
 		Status: Optimal, X: x, Objective: obj,
 		Iters: r.iters, DualIters: r.dualIters,
-		Basis: r.snapshot(), WarmStarted: warmApplied,
+		Basis: r.snapshot(bcol), WarmStarted: warmApplied,
+		etaPeak: r.etaPeak,
 	}
 }
 

@@ -199,10 +199,11 @@ type varPair struct {
 
 // Encoder incrementally encodes a growing Observations accumulator across
 // Perturber rounds. It caches the per-window derived data (sorted unique
-// candidate key lists) keyed by the window's absolute index in
-// obs.Windows — valid because the accumulator only ever appends windows —
-// and the global candidate key set, ingesting only the delta since the
-// previous round. Racy-pair rows are retired at emit time, so a pair
+// candidate key lists and the window's term names) keyed by the window's
+// absolute index in obs.Windows — valid because the accumulator only ever
+// appends windows — and the global candidate key set with each key's
+// variable names and tie-break weights, ingesting only the delta since
+// the previous round. Racy-pair rows are retired at emit time, so a pair
 // turning racy in a later round drops its Mostly-Protected rows without
 // disturbing the cache.
 //
@@ -221,15 +222,45 @@ type Encoder struct {
 	lastObs *window.Observations // accumulator the cache was built from
 	nCached int                  // windows ingested so far
 
-	winRel [][]trace.Key // per absolute window index: sorted unique rel keys
-	winAcq [][]trace.Key
-	keys   []trace.Key // all candidate keys, sorted
-	keySet map[trace.Key]bool
+	// The previous encoding's dimensions and key count, the base of the
+	// next round's size hint.
+	lastVars, lastRows, lastKeys int
+
+	winRel   [][]trace.Key // per absolute window index: sorted unique rel keys
+	winAcq   [][]trace.Key
+	winNames []winNames  // per absolute window index, filled on first use
+	keys     []trace.Key // all candidate keys, sorted
+	keyNames map[trace.Key]keyNames
+	pairs    []pairTerm // Mostly-Paired terms over the first pairsFor keys
+	pairsFor int
+}
+
+// keyNames are one candidate key's LP names and the tie-break weights of
+// its role variables — fixed for the key, so derived once per Encoder.
+type keyNames struct {
+	acq, rel, excl string
+	acqW, relW     float64 // nameWeight(acq), nameWeight(rel)
+}
+
+// newKeyNames derives k's names as substrings of one allocation.
+func newKeyNames(k trace.Key) keyNames {
+	n := len(k)
+	all := string(k) + "^acq" + string(k) + "^rel" + "excl(" + string(k) + ")"
+	kn := keyNames{acq: all[:n+4], rel: all[n+4 : 2*n+8], excl: all[2*n+8:]}
+	kn.acqW, kn.relW = nameWeight(kn.acq), nameWeight(kn.rel)
+	return kn
+}
+
+// winNames are one window's Mostly-Protected row names, "mp_rel(id)"
+// and "mp_acq(id)"; each ε variable's name is its row's without the
+// "mp_" prefix (a substring, not another string).
+type winNames struct {
+	mpRel, mpAcq string
 }
 
 // NewEncoder returns an empty Encoder for cfg.
 func NewEncoder(cfg Config) *Encoder {
-	return &Encoder{cfg: cfg, keySet: map[trace.Key]bool{}}
+	return &Encoder{cfg: cfg, keyNames: map[trace.Key]keyNames{}}
 }
 
 // Reset drops all cached state, as after construction. The engine calls it
@@ -238,10 +269,13 @@ func NewEncoder(cfg Config) *Encoder {
 func (e *Encoder) Reset() {
 	e.lastObs = nil
 	e.nCached = 0
+	e.lastVars, e.lastRows, e.lastKeys = 0, 0, 0
 	e.winRel = e.winRel[:0]
 	e.winAcq = e.winAcq[:0]
+	e.winNames = e.winNames[:0]
 	e.keys = e.keys[:0]
-	e.keySet = map[trace.Key]bool{}
+	e.keyNames = map[trace.Key]keyNames{}
+	e.pairs, e.pairsFor = e.pairs[:0], 0
 }
 
 // sync ingests windows appended to obs since the previous round. A
@@ -259,16 +293,17 @@ func (e *Encoder) sync(obs *window.Observations) {
 		acq := sortedUniqueKeys(w.AcqEvents)
 		e.winRel = append(e.winRel, rel)
 		e.winAcq = append(e.winAcq, acq)
+		e.winNames = append(e.winNames, winNames{})
 		for _, k := range rel {
-			if !e.keySet[k] {
-				e.keySet[k] = true
+			if _, ok := e.keyNames[k]; !ok {
+				e.keyNames[k] = newKeyNames(k)
 				e.keys = append(e.keys, k)
 				newKeys = true
 			}
 		}
 		for _, k := range acq {
-			if !e.keySet[k] {
-				e.keySet[k] = true
+			if _, ok := e.keyNames[k]; !ok {
+				e.keyNames[k] = newKeyNames(k)
 				e.keys = append(e.keys, k)
 				newKeys = true
 			}
@@ -322,22 +357,31 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 		obslib.Int("cached", cached))
 	e.sync(obs)
 	b := &builder{cfg: e.cfg, priors: e.priors, obs: obs, prob: lp.NewProblem(), vars: map[trace.Key]varPair{}}
-	// Rough dimension hint: two role variables per key, two ε per window,
-	// and change for the pairing/single-role auxiliaries.
-	b.prob.Grow(2*len(e.keys)+2*len(obs.Windows)+64,
-		2*len(obs.Windows)+len(e.keys)+64)
+	// Dimension hint. A fresh encoding guesses two role variables per key,
+	// two ε per window, and change for the pairing/single-role
+	// auxiliaries. An incremental one takes the previous program plus what
+	// the delta can add: two ε and two rows per new window, and per new key
+	// at most four variables (two roles, a pairing and a single-role
+	// auxiliary) and four rows (exclusivity, two pairing, single role).
+	vars, rows := 2*len(e.keys)+2*len(obs.Windows)+64, 2*len(obs.Windows)+len(e.keys)+64
+	if cached > 0 {
+		grow := 2*(len(obs.Windows)-cached) + 4*(len(e.keys)-e.lastKeys)
+		vars, rows = e.lastVars+grow, e.lastRows+grow
+	}
+	b.prob.Grow(vars, rows)
 	b.prob.MaxIters = e.cfg.MaxLPIters
 	b.prob.Parallel = e.cfg.Parallelism
 	b.prob.Trace = parent
 
 	for _, k := range e.keys {
-		b.addVars(k)
+		b.addVars(k, e.keyNames[k])
 	}
 	b.addMostlyProtected(e)
 	b.addRareness(e.keys)
 	b.addAcqTimeVaries(e.keys)
-	b.addMostlyPaired(e.keys)
+	b.addMostlyPaired(e)
 	b.addSingleRole(e.keys)
+	e.lastVars, e.lastRows, e.lastKeys = b.prob.NumVars(), b.prob.NumConstraints(), len(e.keys)
 	span.Annotate(
 		obslib.Int("keys", len(e.keys)),
 		obslib.Int("vars", b.prob.NumVars()),
@@ -363,17 +407,17 @@ func (e *Encoder) SolveSpan(obs *window.Observations, warm *lp.Basis, parent *ob
 	}
 
 	res := &Result{
-		Acquires:    map[trace.Key]float64{},
-		Releases:    map[trace.Key]float64{},
-		Objective:   sol.Objective,
-		Vars:        b.prob.NumVars(),
-		Constraints: b.prob.NumConstraints(),
-		Iters:       sol.Iters,
-		DualIters:   sol.DualIters,
-		Components:  sol.Components,
+		Acquires:      map[trace.Key]float64{},
+		Releases:      map[trace.Key]float64{},
+		Objective:     sol.Objective,
+		Vars:          b.prob.NumVars(),
+		Constraints:   b.prob.NumConstraints(),
+		Iters:         sol.Iters,
+		DualIters:     sol.DualIters,
+		Components:    sol.Components,
 		RowsPresolved: sol.RowsPresolved,
 		ColsPresolved: sol.ColsPresolved,
-		WarmStarted: sol.WarmStarted,
+		WarmStarted:   sol.WarmStarted,
 	}
 	for _, k := range e.keys {
 		vp := b.vars[k]
@@ -405,11 +449,12 @@ func Solve(obs *window.Observations, cfg Config) (*Result, error) {
 
 // builder assembles one round's lp.Problem.
 type builder struct {
-	cfg    Config
-	priors *Priors
-	obs    *window.Observations
-	prob   *lp.Problem
-	vars   map[trace.Key]varPair
+	cfg     Config
+	priors  *Priors
+	obs     *window.Observations
+	prob    *lp.Problem
+	vars    map[trace.Key]varPair
+	scratch []int // addMostlyPaired's per-term variable list
 }
 
 // tieBreakEps scales the deterministic tie-breaker costs on role
@@ -442,32 +487,36 @@ func nameWeight(s string) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
+// roles reports which role variables key k gets: those its kind can
+// serve under the Read-Acquire & Write-Release property, or both under
+// that property's ablation.
+func (cfg Config) roles(k trace.Key) (acq, rel bool) {
+	if !cfg.Hyp.ReadAcqWriteRel {
+		// Ablation: every op may serve either role, but never both.
+		return true, true
+	}
+	return trace.AcquireCapable(k.Kind()), trace.ReleaseCapable(k.Kind())
+}
+
 // addVars creates the role variables of one candidate under the
 // Read-Acquire & Write-Release property (or both roles under its ablation,
-// with the role-exclusivity constraint instead).
-func (b *builder) addVars(k trace.Key) {
+// with the role-exclusivity constraint instead), named by kn.
+func (b *builder) addVars(k trace.Key, kn keyNames) {
 	vp := varPair{acq: -1, rel: -1}
-	acqCapable := trace.AcquireCapable(k.Kind())
-	relCapable := trace.ReleaseCapable(k.Kind())
-	if !b.cfg.Hyp.ReadAcqWriteRel {
-		// Ablation: every op may serve either role, but never both.
-		acqCapable, relCapable = true, true
-	}
+	acqCapable, relCapable := b.cfg.roles(k)
 	if acqCapable {
-		name := string(k) + "^acq"
-		vp.acq = b.prob.AddVariable(name)
+		vp.acq = b.prob.AddVariable(kn.acq)
 		b.prob.SetUpperBound(vp.acq, 1)
-		b.prob.AddCost(vp.acq, tieBreakEps*nameWeight(name))
+		b.prob.AddCost(vp.acq, tieBreakEps*kn.acqW)
 	}
 	if relCapable {
-		name := string(k) + "^rel"
-		vp.rel = b.prob.AddVariable(name)
+		vp.rel = b.prob.AddVariable(kn.rel)
 		b.prob.SetUpperBound(vp.rel, 1)
-		b.prob.AddCost(vp.rel, tieBreakEps*nameWeight(name))
+		b.prob.AddCost(vp.rel, tieBreakEps*kn.relW)
 	}
 	if vp.acq >= 0 && vp.rel >= 0 {
 		// A release cannot be an acquire and vice versa.
-		b.prob.AddNamedConstraint("excl("+string(k)+")",
+		b.prob.AddNamedConstraint(kn.excl,
 			map[int]float64{vp.acq: 1, vp.rel: 1}, lp.LE, 1)
 	}
 	b.vars[k] = vp
@@ -492,12 +541,16 @@ func (b *builder) addMostlyProtected(e *Encoder) {
 		if !b.cfg.KeepRacyWindows && b.obs.RacyPairs[w.Pair] {
 			continue
 		}
-		id := w.UID
-		if id == "" {
-			id = fmt.Sprintf("w%d", wi)
+		wn := &e.winNames[wi]
+		if wn.mpRel == "" {
+			id := w.UID
+			if id == "" {
+				id = fmt.Sprintf("w%d", wi)
+			}
+			wn.mpRel, wn.mpAcq = "mp_rel("+id+")", "mp_acq("+id+")"
 		}
-		b.addWindowTerm("rel("+id+")", e.winRel[wi], trace.RoleRelease)
-		b.addWindowTerm("acq("+id+")", e.winAcq[wi], trace.RoleAcquire)
+		b.addWindowTerm(wn.mpRel, e.winRel[wi], trace.RoleRelease)
+		b.addWindowTerm(wn.mpAcq, e.winAcq[wi], trace.RoleAcquire)
 	}
 }
 
@@ -507,7 +560,8 @@ func (b *builder) addMostlyProtected(e *Encoder) {
 // Section 4.2). cands is sorted and unique, and role variables are created
 // in key order, so the row's entries come out index-ascending by
 // construction — the precondition for the allocation-light lp.AddRow path.
-func (b *builder) addWindowTerm(name string, cands []trace.Key, role trace.Role) {
+// row is the row's name, "mp_" followed by ε's.
+func (b *builder) addWindowTerm(row string, cands []trace.Key, role trace.Role) {
 	idx := make([]int, 0, len(cands)+1)
 	for _, k := range cands {
 		vp := b.vars[k]
@@ -519,14 +573,14 @@ func (b *builder) addWindowTerm(name string, cands []trace.Key, role trace.Role)
 			idx = append(idx, v)
 		}
 	}
-	eps := b.prob.AddVariable(name)
+	eps := b.prob.AddVariable(row[len("mp_"):])
 	b.prob.AddCost(eps, 1)
 	idx = append(idx, eps) // just created: largest index, keeps the order
 	coeffs := make([]float64, len(idx))
 	for i := range coeffs {
 		coeffs[i] = 1
 	}
-	b.prob.AddRow("mp_"+name, idx, coeffs, lp.GE, 1)
+	b.prob.AddRow(row, idx, coeffs, lp.GE, 1)
 }
 
 // addRareness adds Eq. 3's regularization and Eq. 4's occurrence penalty,
@@ -575,25 +629,40 @@ func (b *builder) addAcqTimeVaries(keys []trace.Key) {
 	}
 }
 
-// addMostlyPaired adds Eq. 6 (class-level method pairing) and Eq. 7
-// (field read/write pairing).
-func (b *builder) addMostlyPaired(keys []trace.Key) {
-	if !b.cfg.Hyp.MostlyPaired {
-		return
+// pairTerm is one Mostly-Paired term — a class's methods (Eq. 6) or a
+// field's read and write (Eq. 7) — with its names and the keys whose
+// acquire and release variables it pairs. The terms depend only on the
+// key set, so an Encoder derives them once per set of keys.
+type pairTerm struct {
+	plus, minus string // its rows' names; its variable's is plus without "+"
+	acq, rel    []trace.Key
+}
+
+func newPairTerm(name string, acq, rel []trace.Key) pairTerm {
+	return pairTerm{plus: name + "+", minus: name + "-", acq: acq, rel: rel}
+}
+
+// pairTerms returns the Mostly-Paired terms over e.keys in emission order
+// — classes by name, then fields by name — deriving them again only after
+// new keys arrived.
+func (e *Encoder) pairTerms() []pairTerm {
+	if e.pairsFor == len(e.keys) {
+		return e.pairs
 	}
+	e.pairs, e.pairsFor = e.pairs[:0], len(e.keys)
 	// Eq. 6: per class, |Σ method acq − Σ method rel|.
-	classAcq := map[string][]int{}
-	classRel := map[string][]int{}
-	for _, k := range keys {
+	classAcq := map[string][]trace.Key{}
+	classRel := map[string][]trace.Key{}
+	for _, k := range e.keys {
 		if k.IsField() || k.Class() == "" {
 			continue
 		}
-		vp := b.vars[k]
-		if vp.acq >= 0 {
-			classAcq[k.Class()] = append(classAcq[k.Class()], vp.acq)
+		acq, rel := e.cfg.roles(k)
+		if acq {
+			classAcq[k.Class()] = append(classAcq[k.Class()], k)
 		}
-		if vp.rel >= 0 {
-			classRel[k.Class()] = append(classRel[k.Class()], vp.rel)
+		if rel {
+			classRel[k.Class()] = append(classRel[k.Class()], k)
 		}
 	}
 	classes := map[string]bool{}
@@ -609,12 +678,12 @@ func (b *builder) addMostlyPaired(keys []trace.Key) {
 	}
 	sort.Strings(ordered)
 	for _, c := range ordered {
-		b.addAbsTerm("pair_c("+c+")", classAcq[c], classRel[c])
+		e.pairs = append(e.pairs, newPairTerm("pair_c("+c+")", classAcq[c], classRel[c]))
 	}
 
 	// Eq. 7: per field, |read^acq − write^rel|.
 	fields := map[string]bool{}
-	for _, k := range keys {
+	for _, k := range e.keys {
 		if k.IsField() {
 			fields[k.Name()] = true
 		}
@@ -625,35 +694,93 @@ func (b *builder) addMostlyPaired(keys []trace.Key) {
 	}
 	sort.Strings(orderedF)
 	for _, f := range orderedF {
-		var acqs, rels []int
-		if vp, ok := b.vars[trace.KeyFor(trace.KindRead, f)]; ok && vp.acq >= 0 {
-			acqs = append(acqs, vp.acq)
+		var acqs, rels []trace.Key
+		if k := trace.KeyFor(trace.KindRead, f); e.hasKey(k) {
+			if acq, _ := e.cfg.roles(k); acq {
+				acqs = append(acqs, k)
+			}
 		}
-		if vp, ok := b.vars[trace.KeyFor(trace.KindWrite, f)]; ok && vp.rel >= 0 {
-			rels = append(rels, vp.rel)
+		if k := trace.KeyFor(trace.KindWrite, f); e.hasKey(k) {
+			if _, rel := e.cfg.roles(k); rel {
+				rels = append(rels, k)
+			}
 		}
 		if len(acqs)+len(rels) > 0 {
-			b.addAbsTerm("pair_f("+f+")", acqs, rels)
+			e.pairs = append(e.pairs, newPairTerm("pair_f("+f+")", acqs, rels))
 		}
+	}
+	return e.pairs
+}
+
+// hasKey reports whether k is a candidate key.
+func (e *Encoder) hasKey(k trace.Key) bool {
+	_, ok := e.keyNames[k]
+	return ok
+}
+
+// addMostlyPaired adds Eq. 6 (class-level method pairing) and Eq. 7
+// (field read/write pairing), one absolute-value term per pairTerm.
+func (b *builder) addMostlyPaired(e *Encoder) {
+	if !b.cfg.Hyp.MostlyPaired {
+		return
+	}
+	for _, tm := range e.pairTerms() {
+		vs := b.scratch[:0]
+		for _, k := range tm.acq {
+			vs = append(vs, b.vars[k].acq)
+		}
+		na := len(vs)
+		for _, k := range tm.rel {
+			vs = append(vs, b.vars[k].rel)
+		}
+		b.addAbsTerm(tm.plus, tm.minus, vs[:na], vs[na:])
+		b.scratch = vs
 	}
 }
 
-// addAbsTerm adds t ≥ ±(Σ acqs − Σ rels) with cost λ·t.
-func (b *builder) addAbsTerm(name string, acqs, rels []int) {
-	t := b.prob.AddVariable(name)
+// addAbsTerm adds t ≥ ±(Σ acqs − Σ rels) with cost λ·t, t named plus
+// without its "+" and the two rows plus and minus.
+func (b *builder) addAbsTerm(plus, minus string, acqs, rels []int) {
+	t := b.prob.AddVariable(plus[:len(plus)-1])
 	b.prob.AddCost(t, b.cfg.Lambda)
-	pos := map[int]float64{t: 1}
-	neg := map[int]float64{t: 1}
+	// The "+" row's coefficient of a variable is the number of times it
+	// is listed in rels minus in acqs — a small integer, exact in any
+	// summation order — and the "-" row's is its negation. Zero sums drop,
+	// and t, just created, sorts last: the rows go in through lp.AddRow,
+	// identical to the map-built constraints they replace.
+	type term struct {
+		v int
+		c float64
+	}
+	ts := make([]term, 0, len(acqs)+len(rels))
 	for _, v := range acqs {
-		pos[v] -= 1
-		neg[v] += 1
+		ts = append(ts, term{v, -1})
 	}
 	for _, v := range rels {
-		pos[v] += 1
-		neg[v] -= 1
+		ts = append(ts, term{v, 1})
 	}
-	b.prob.AddNamedConstraint(name+"+", pos, lp.GE, 0)
-	b.prob.AddNamedConstraint(name+"-", neg, lp.GE, 0)
+	slices.SortStableFunc(ts, func(a, b term) int { return a.v - b.v })
+	idx := make([]int, 0, len(ts)+1)
+	pos := make([]float64, 0, len(ts)+1)
+	for i := 0; i < len(ts); {
+		v, c := ts[i].v, 0.0
+		for ; i < len(ts) && ts[i].v == v; i++ {
+			c += ts[i].c
+		}
+		if c != 0 {
+			idx = append(idx, v)
+			pos = append(pos, c)
+		}
+	}
+	idx = append(idx, t)
+	pos = append(pos, 1)
+	neg := make([]float64, len(pos))
+	for i, c := range pos[:len(pos)-1] {
+		neg[i] = -c
+	}
+	neg[len(neg)-1] = 1
+	b.prob.AddRow(plus, idx, pos, lp.GE, 0)
+	b.prob.AddRow(minus, slices.Clone(idx), neg, lp.GE, 0)
 }
 
 // addSingleRole adds begin(l)^acq + end(l)^rel ≤ 1 for every library API —

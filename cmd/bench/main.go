@@ -109,7 +109,6 @@ func main() {
 		rounds       = flag.Int("rounds", 6, "campaign rounds")
 		reps         = flag.Int("reps", 5, "repetitions (best is reported)")
 		out          = flag.String("out", "BENCH_solver.json", "solver benchmark output file (empty = skip)")
-		outAlias     = flag.String("o", "", "alias for -out (deprecated)")
 		serverOut    = flag.String("server-out", "BENCH_server.json", "server benchmark output file (empty = skip)")
 		serverJobs   = flag.Int("server-jobs", 16, "cold/hit submissions per server measurement")
 		storeOut     = flag.String("store-out", "BENCH_store.json", "trace-store benchmark output file (empty = skip)")
@@ -121,9 +120,9 @@ func main() {
 		incrReps     = flag.Int("incr-reps", 5, "repetitions per incremental point (best is reported)")
 		incrMinSpd   = flag.Float64("incr-min-speedup", 0, "fail (exit 1) if the +1-trace incremental speedup falls below this (0 = record only)")
 		incrMaxFG    = flag.Float64("incr-max-fold-growth", 0, "fail (exit 1) if the +1-trace fold cost at the full base exceeds this multiple of the quarter-base cost (0 = record only)")
-		staticOut    = flag.String("static-out", "", "static/hybrid inference benchmark output file (empty = skip)")
-		staticRounds = flag.Int("static-rounds", 3, "campaign rounds for the static/hybrid sweep")
-		staticGate   = flag.Bool("static-gate", false, "fail (exit 1) if any app's hybrid campaign diverges from dynamic or converges slower")
+		staticOut    = flag.String("static-out", "", "static/refine inference benchmark output file (empty = skip)")
+		staticRounds = flag.Int("static-rounds", 3, "campaign rounds for the static/refine sweep")
+		staticGate   = flag.Bool("static-gate", false, "fail (exit 1) if any app's static report is not reproducible or its refine campaign diverges from dynamic or converges slower")
 		genOut       = flag.String("gen-out", "", "generated-app benchmark output file (empty = skip)")
 		genN         = flag.Int("gen-n", 100, "number of distinct generated applications to sweep")
 		genRounds    = flag.Int("gen-rounds", 3, "campaign rounds per generated app")
@@ -139,9 +138,6 @@ func main() {
 		clMinSpeed   = flag.Float64("cluster-min-speedup", 0, "fail (exit 1) if 4-node throughput is below this multiple of 1-node (0 = record only)")
 	)
 	flag.Parse()
-	if *outAlias != "" {
-		*out = *outAlias
-	}
 
 	if *out != "" {
 		die(benchSolver(*out, *rounds, *reps, *minPivRate))
@@ -240,9 +236,9 @@ func benchSolverApp(appName string, rounds, reps int) (appResult, error) {
 	cfg := core.DefaultConfig()
 	cfg.Rounds = rounds
 	var snaps []*window.Observations
-	cfg.OnRound = func(_ int, obs *window.Observations) {
-		snaps = append(snaps, obs.Clone())
-	}
+	cfg.Observer = core.ObserverFuncs{OnRound: func(_ core.RoundSnapshot, acc *window.Observations) {
+		snaps = append(snaps, acc.Clone())
+	}}
 	if _, err := core.Infer(context.Background(), app, cfg); err != nil {
 		return ar, err
 	}

@@ -8,7 +8,8 @@
 // same consistent-hash ring the servers use. Submissions then go straight
 // to the owner; any failure — single-node daemon, stale info, owner down —
 // falls back to the URL the user gave, which is always correct, just one
-// hop slower.
+// hop slower. Static jobs always take that path: their key hashes the
+// program's structure, which the published config text cannot supply.
 package main
 
 import (
@@ -72,16 +73,18 @@ func fetchClusterView(ctx context.Context, base string) *clusterView {
 func toJobSpec(s submitSpec) server.JobSpec {
 	return server.JobSpec{
 		App: s.App, TraceKeys: s.TraceKeys, WatchApp: s.WatchApp,
-		StaticApp: s.StaticApp, Hybrid: s.Hybrid,
 		Rounds: s.Rounds, Lambda: s.Lambda, Near: s.Near, Seed: s.Seed,
 	}
 }
 
 // routeSubmit picks the node to submit spec to: the first healthy owner
 // of the job's content key, in the ring's replica order. Returns base
-// (routed=false) when the daemon is not clustered, the info document
-// predates config publishing, or no owner is currently up.
+// (routed=false) for static jobs, when the daemon is not clustered, the
+// info document predates config publishing, or no owner is currently up.
 func routeSubmit(ctx context.Context, base string, spec submitSpec) (target string, routed bool) {
+	if spec.StaticApp != "" {
+		return base, false
+	}
 	info := fetchClusterView(ctx, base)
 	if info == nil || info.JobConfig == "" || len(info.Peers) == 0 {
 		return base, false

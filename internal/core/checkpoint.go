@@ -172,34 +172,15 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// ConfigSignature hashes the config fields an offline solve depends on —
-// window extraction, solver encoding, and racy-window removal. Rounds,
-// seeds, delays, parallelism, and every hook are irrelevant offline and
+// ConfigSignature hashes the config fields an offline solve depends on:
+// the ScopeOffline lines of the canonical encoding. Rounds, seeds, delays,
+// parallelism and the observability fields are irrelevant offline and
 // excluded, mirroring InferFromSource's contract. A checkpoint only
 // resumes under a config with the same signature; anything else would
 // splice incompatible constraint systems together.
 func ConfigSignature(cfg Config) string {
 	h := sha256.New()
 	io.WriteString(h, "sherlock-checkpoint-cfg-v1\n")
-	fmt.Fprintf(h, "window.near=%d\n", cfg.Window.Near)
-	fmt.Fprintf(h, "window.perpaircap=%d\n", cfg.Window.PerPairCap)
-	fmt.Fprintf(h, "window.unsafeapis=%t\n", cfg.Window.UseUnsafeAPIs)
-	fmt.Fprintf(h, "solver.lambda=%g\n", cfg.Solver.Lambda)
-	fmt.Fprintf(h, "solver.rarecoef=%g\n", cfg.Solver.RareCoef)
-	fmt.Fprintf(h, "solver.threshold=%g\n", cfg.Solver.Threshold)
-	hyp := cfg.Solver.Hyp
-	fmt.Fprintf(h, "solver.hyp=%t,%t,%t,%t,%t,%t\n",
-		hyp.MostlyProtected, hyp.SyncsAreRare, hyp.AcqTimeVaries,
-		hyp.MostlyPaired, hyp.ReadAcqWriteRel, hyp.SingleRole)
-	fmt.Fprintf(h, "solver.softsinglerole=%t\n", cfg.Solver.SoftSingleRole)
-	fmt.Fprintf(h, "solver.maxlpiters=%d\n", cfg.Solver.MaxLPIters)
-	// Non-default per-role weights change the LP objective, so they are part
-	// of the signature; the default weighting writes nothing, keeping every
-	// pre-weights signature (and with it every stored checkpoint) valid.
-	if w := cfg.Solver.Weights; !w.IsDefault() {
-		r := w.Resolved()
-		fmt.Fprintf(h, "solver.weights=%g,%g\n", r.Acquire, r.Release)
-	}
-	fmt.Fprintf(h, "removeracymp=%t\n", cfg.RemoveRacyMP)
+	h.Write(AppendConfig(nil, cfg, ScopeOffline))
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

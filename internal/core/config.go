@@ -53,15 +53,13 @@ type Config struct {
 	// MaxStepsPerTest bounds each simulated test (0 = scheduler default).
 	MaxStepsPerTest int
 
-	// StaticPriors, when non-nil, runs the campaign in hybrid mode: the
-	// priors (typically StaticPriors() from the run-free analysis, or a
-	// previous campaign's posteriors via PriorsFromResult) seed round 0 —
-	// they discount the Syncs-are-Rare cost of believed keys in the first
-	// solve only, and the believed releases get a round-0 delay plan, so
-	// the first round already perturbs like a dynamic second round. From
-	// round 1 on the objective is purely evidence-driven, which is what
-	// keeps hybrid campaigns convergent to the dynamic fixpoint rather
-	// than anchored to the prior.
+	// StaticPriors, when non-nil, seeds round 0 with a previous
+	// campaign's posteriors (refine mode; see Posterior.Priors): the
+	// round-0 snapshot comes from a second solve whose objective
+	// discounts the Syncs-are-Rare cost of believed keys. The feedback
+	// plan, the carried basis and every later round stay evidence-only,
+	// so the campaign's executions and final inferred set are exactly the
+	// unseeded campaign's; only the reported convergence moves earlier.
 	StaticPriors *solver.Priors
 
 	// ColdStart disables cross-round solver reuse: every round encodes from
@@ -73,9 +71,8 @@ type Config struct {
 
 	// Observer, when non-nil, receives the campaign's full observability
 	// stream: every span/counter event of the campaign trace plus each
-	// round's solved snapshot. It is the unified hook surface — see the
-	// Observer interface — and subsumes OnRound and OnSnapshot, which
-	// remain for compatibility but are deprecated.
+	// round's solved snapshot and live accumulator (see the Observer
+	// interface).
 	Observer Observer
 
 	// DisableTracing turns span construction off entirely: the engine runs
@@ -84,27 +81,6 @@ type Config struct {
 	// it honest); this toggle exists for that benchmark's baseline and for
 	// ruling tracing out when bisecting performance.
 	DisableTracing bool
-
-	// OnRound, when non-nil, is called after each round's observations are
-	// merged and solved, with the 1-based round number and the live
-	// accumulator. The accumulator is reused across rounds — callers that
-	// keep it past the callback must Clone it. A diagnostics hook, used by
-	// the solver benchmarks to replay a campaign's accumulator states.
-	//
-	// Deprecated: set Observer instead; its Round method receives the same
-	// accumulator along with the solved snapshot.
-	OnRound func(round int, obs *window.Observations)
-
-	// OnSnapshot, when non-nil, receives each round's RoundSnapshot right
-	// after the solve, before the next round starts. Unlike OnRound it
-	// carries the solved per-round statistics (inferred sets, LP pivots,
-	// warm-start flag), so long-running consumers — the serving layer's
-	// metrics in particular — can stream campaign progress without waiting
-	// for the final Result. The snapshot is the caller's to keep.
-	//
-	// Deprecated: set Observer instead; its Round method receives the same
-	// snapshot along with the live accumulator.
-	OnSnapshot func(RoundSnapshot)
 }
 
 // DefaultConfig mirrors the paper's default operating point.
@@ -159,4 +135,17 @@ func (c Config) workers() int {
 		return c.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// solverConfig is the solver configuration every entry point solves
+// with: Solver, with racy-window removal taken from RemoveRacyMP and the
+// LP component fan-out defaulted to the worker pool (results are
+// bit-identical at any width).
+func (c Config) solverConfig() solver.Config {
+	s := c.Solver
+	s.KeepRacyWindows = !c.RemoveRacyMP
+	if s.Parallelism == 0 {
+		s.Parallelism = c.workers()
+	}
+	return s
 }

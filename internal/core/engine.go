@@ -114,11 +114,7 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	scfg := cfg.Solver
-	scfg.KeepRacyWindows = !cfg.RemoveRacyMP
-	if scfg.Parallelism == 0 {
-		scfg.Parallelism = cfg.workers() // LP component fan-out; bit-identical at any width
-	}
+	scfg := cfg.solverConfig()
 
 	res := &Result{App: app.Name}
 	acc := window.NewObservations(cfg.Window)
@@ -182,7 +178,7 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 		}
 		reported := sr
 		if round == 0 && cfg.StaticPriors != nil && cfg.Rounds > 1 {
-			// Hybrid mode: re-solve round 0 with the prior-tilted objective
+			// Refine mode: re-solve round 0 with the prior-tilted objective
 			// and report THAT snapshot — the prior anticipates what later
 			// rounds' evidence confirms, so the campaign's reported sets
 			// converge earlier. The feedback plan and the carried basis stay
@@ -198,7 +194,7 @@ func Infer(ctx context.Context, app *prog.Program, cfg Config) (*Result, error) 
 			enc.SetPriors(nil)
 			if herr != nil {
 				rspan.End()
-				return nil, fmt.Errorf("core: %s hybrid round %d solve: %w", app.Name, round+1, herr)
+				return nil, fmt.Errorf("core: %s seeded round %d solve: %w", app.Name, round+1, herr)
 			}
 			tr.Count("lp.pivots", int64(hr.Iters))
 			reported = hr

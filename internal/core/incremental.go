@@ -159,11 +159,7 @@ func InferIncremental(ctx context.Context, ck *Checkpoint, src KeyedSource, cfg 
 		obs.Int("fresh", len(fresh)),
 		obs.Int("windows", len(acc.Windows)))
 
-	scfg := cfg.Solver
-	scfg.KeepRacyWindows = !cfg.RemoveRacyMP
-	if scfg.Parallelism == 0 {
-		scfg.Parallelism = cfg.workers()
-	}
+	scfg := cfg.solverConfig()
 	t0 := time.Now()
 	sr, basis, err := solver.NewEncoder(scfg).SolveSpan(acc, ck.Basis, root)
 	res.Overhead.SolveWall = time.Since(t0)

@@ -1,9 +1,9 @@
 // Content-addressed job keys. A job's key is the SHA-256 of a canonical
 // byte encoding of everything that determines its result: the workload
 // (benchmark application name, or the raw trace bytes for offline jobs)
-// and every result-relevant field of the effective inference Config,
-// written in a fixed order with explicit field tags. Two properties make
-// the scheme safe as a cache address:
+// and the ScopeJob lines of the effective inference Config's canonical
+// encoding (core.AppendConfig), written in a fixed order with explicit
+// field tags. Two properties make the scheme safe as a cache address:
 //
 //   - Deterministic across processes: the encoding never touches map
 //     iteration order, pointers, or wall-clock state, so the same
@@ -11,9 +11,9 @@
 //   - Execution-irrelevant knobs are excluded: Config.Parallelism is NOT
 //     hashed because results are bit-identical for every worker-pool size
 //     (a PR 1 invariant) — a 4-worker submission hits the cache entry a
-//     16-worker submission populated. Hooks (OnRound, OnSnapshot) and
-//     ColdStart are likewise excluded: they change cost, not results
-//     (the warm/cold equivalence tests enforce the latter).
+//     16-worker submission populated. The Observer and ColdStart are
+//     likewise excluded: they change cost, not results (the warm/cold
+//     equivalence tests enforce the latter).
 //
 // The encoding is versioned (keyEncodingV1); changing what gets hashed
 // must bump the version so stale keys can never alias new content.
@@ -26,19 +26,23 @@ import (
 	"io"
 	"strings"
 
+	"sherlock/internal/apps"
 	"sherlock/internal/core"
 	"sherlock/internal/prog"
-	"sherlock/internal/sched"
 	"sherlock/internal/static"
 )
 
 const keyEncodingV1 = "sherlock-job-v1"
 
-// JobKey computes the content address of a job: the workload from spec
-// (App, StaticApp, or Traces) plus the effective, fully resolved inference
-// config.
+// JobKey computes the content address of a campaign or offline job: the
+// workload from spec (App, TraceKeys, or Traces) plus the effective, fully
+// resolved inference config. Static jobs are filed under StaticReportKey
+// instead (see specKey).
 func JobKey(spec JobSpec, cfg core.Config) string {
-	return JobKeyFromConfigText(spec, ConfigText(cfg))
+	h := sha256.New()
+	writeWorkload(h, spec)
+	h.Write(core.AppendConfig(nil, spec.effectiveConfig(cfg), core.ScopeJob))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // JobKeyFromConfigText is JobKey over a pre-rendered canonical config text
@@ -49,78 +53,87 @@ func JobKey(spec JobSpec, cfg core.Config) string {
 // which ring member owns it — without re-implementing config resolution.
 func JobKeyFromConfigText(spec JobSpec, cfgText string) string {
 	h := sha256.New()
-	io.WriteString(h, keyEncodingV1+"\n")
+	writeWorkload(h, spec)
+	io.WriteString(h, applyOverrides(spec, cfgText))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// specKey is the content address a spec's result is filed under: the
+// static report key for run-free jobs (shared with GET
+// /v1/apps/{id}/static), JobKey for everything else.
+func specKey(spec JobSpec, cfg core.Config) (string, error) {
+	if spec.StaticApp == "" {
+		return JobKey(spec, cfg), nil
+	}
+	p, err := apps.ByName(spec.StaticApp)
+	if err != nil {
+		return "", err
+	}
+	return StaticReportKey(p, cfg)
+}
+
+// writeWorkload writes the key's version header and workload lines.
+func writeWorkload(w io.Writer, spec JobSpec) {
+	io.WriteString(w, keyEncodingV1+"\n")
 	switch {
 	case spec.App != "":
-		fmt.Fprintf(h, "kind=app\napp=%s\n", spec.App)
-	case spec.StaticApp != "":
-		fmt.Fprintf(h, "kind=static\napp=%s\n", spec.StaticApp)
+		fmt.Fprintf(w, "kind=app\napp=%s\n", spec.App)
 	case len(spec.TraceKeys) > 0:
 		// Corpus keys are themselves content addresses (SHA-256 of each
 		// trace's canonical encoding), so hashing the key list is hashing
 		// the trace contents — resubmitting the same stored traces hits
 		// the same cache entry regardless of which daemon ingested them.
-		fmt.Fprintf(h, "kind=corpus\nkeys=%d\n", len(spec.TraceKeys))
+		fmt.Fprintf(w, "kind=corpus\nkeys=%d\n", len(spec.TraceKeys))
 		for _, k := range spec.TraceKeys {
-			fmt.Fprintf(h, "key=%s\n", k)
+			fmt.Fprintf(w, "key=%s\n", k)
 		}
 	default:
-		fmt.Fprintf(h, "kind=traces\ntraces=%d\n", len(spec.Traces))
+		fmt.Fprintf(w, "kind=traces\ntraces=%d\n", len(spec.Traces))
 		for _, tr := range spec.Traces {
-			fmt.Fprintf(h, "trace:%d\n", len(tr))
-			io.WriteString(h, tr)
-			io.WriteString(h, "\n")
+			fmt.Fprintf(w, "trace:%d\n", len(tr))
+			io.WriteString(w, tr)
+			io.WriteString(w, "\n")
 		}
 	}
-	io.WriteString(h, applyOverrides(spec, cfgText))
-	if spec.Hybrid {
-		// Appended only when set so every pre-hybrid key — and the cache
-		// entries filed under them — stays addressable.
-		io.WriteString(h, "hybrid=true\n")
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // applyOverrides patches a canonical config text with the spec's override
 // fields, line for line — the textual mirror of JobSpec.effectiveConfig.
-// Every override corresponds to exactly one tagged line of writeConfig, so
-// patching the text and re-rendering the patched config are equivalent.
+// Over a zero base, effectiveConfig leaves exactly the overridden fields
+// non-zero, so the lines where its encoding departs from the zero
+// config's are the override lines, tagged and formatted by the table.
 func applyOverrides(spec JobSpec, cfgText string) string {
-	if spec.Rounds != 0 {
-		cfgText = replaceLine(cfgText, "rounds=", fmt.Sprintf("rounds=%d", spec.Rounds))
+	zero := core.AppendConfig(nil, core.Config{}, core.ScopeJob)
+	isZero := make(map[string]bool)
+	for _, l := range strings.SplitAfter(string(zero), "\n") {
+		isZero[l] = true
 	}
-	if spec.Lambda != 0 {
-		cfgText = replaceLine(cfgText, "solver.lambda=", fmt.Sprintf("solver.lambda=%g", spec.Lambda))
-	}
-	if spec.Near != 0 {
-		cfgText = replaceLine(cfgText, "window.near=", fmt.Sprintf("window.near=%d", spec.Near))
-	}
-	if spec.Seed != 0 {
-		cfgText = replaceLine(cfgText, "seed=", fmt.Sprintf("seed=%d", spec.Seed))
-	}
-	if spec.MaxSteps != 0 {
-		cfgText = replaceLine(cfgText, "maxsteps=", fmt.Sprintf("maxsteps=%d", spec.MaxSteps))
-	}
-	return cfgText
-}
-
-// replaceLine swaps the one line starting with prefix for repl.
-func replaceLine(text, prefix, repl string) string {
-	lines := strings.Split(text, "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(l, prefix) {
-			lines[i] = repl
+	set := core.AppendConfig(nil, spec.effectiveConfig(core.Config{}), core.ScopeJob)
+	patch := make(map[string]string)
+	for _, l := range strings.SplitAfter(string(set), "\n") {
+		if !isZero[l] {
+			tag, _, _ := strings.Cut(l, "=")
+			patch[tag] = l
 		}
 	}
-	return strings.Join(lines, "\n")
+	if len(patch) == 0 {
+		return cfgText
+	}
+	var b strings.Builder
+	for _, l := range strings.SplitAfter(cfgText, "\n") {
+		tag, _, _ := strings.Cut(l, "=")
+		if p, ok := patch[tag]; ok {
+			l = p
+		}
+		b.WriteString(l)
+	}
+	return b.String()
 }
 
 // ConfigText renders every result-relevant Config field in the canonical
 // key encoding — the text JobKey hashes and /v1/cluster/info publishes.
 func ConfigText(cfg core.Config) string {
-	var b strings.Builder
-	writeConfig(&b, cfg)
-	return b.String()
+	return string(core.AppendConfig(nil, cfg, core.ScopeJob))
 }
 
 // staticKeyEncodingV1 versions static-report content addresses.
@@ -130,9 +143,9 @@ const staticKeyEncodingV1 = "sherlock-static-report-v1"
 // report. Unlike campaign keys it hashes the PROGRAM (via the static
 // package's structural hash), not just the app name, so a report computed
 // by one build can never answer for a differently shaped program under the
-// same name; and it hashes only the config fields a run-free solve reads —
-// rounds, seeds, and delays are execution knobs and would fracture the
-// cache for no reason.
+// same name; and it hashes only the ScopeStatic config lines — rounds,
+// seeds, and delays are execution knobs and would fracture the cache for
+// no reason.
 func StaticReportKey(app *prog.Program, cfg core.Config) (string, error) {
 	ph, err := static.ProgramHash(app)
 	if err != nil {
@@ -140,66 +153,6 @@ func StaticReportKey(app *prog.Program, cfg core.Config) (string, error) {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\napp=%s\nprogram=%s\n", staticKeyEncodingV1, app.Name, ph)
-	fmt.Fprintf(h, "window.near=%d\n", cfg.Window.Near)
-	fmt.Fprintf(h, "window.perpaircap=%d\n", cfg.Window.PerPairCap)
-	fmt.Fprintf(h, "window.unsafeapis=%t\n", cfg.Window.UseUnsafeAPIs)
-	fmt.Fprintf(h, "solver.lambda=%g\n", cfg.Solver.Lambda)
-	fmt.Fprintf(h, "solver.rarecoef=%g\n", cfg.Solver.RareCoef)
-	fmt.Fprintf(h, "solver.threshold=%g\n", cfg.Solver.Threshold)
-	hyp := cfg.Solver.Hyp
-	// AcqTimeVaries is omitted: InferStatic forces it off (no durations
-	// without execution), so it can never distinguish two static reports.
-	fmt.Fprintf(h, "solver.hyp=%t,%t,%t,%t,%t\n",
-		hyp.MostlyProtected, hyp.SyncsAreRare,
-		hyp.MostlyPaired, hyp.ReadAcqWriteRel, hyp.SingleRole)
-	fmt.Fprintf(h, "solver.softsinglerole=%t\n", cfg.Solver.SoftSingleRole)
-	fmt.Fprintf(h, "solver.maxlpiters=%d\n", cfg.Solver.MaxLPIters)
-	if ws := cfg.Solver.Weights; !ws.IsDefault() {
-		r := ws.Resolved()
-		fmt.Fprintf(h, "solver.weights=%g,%g\n", r.Acquire, r.Release)
-	}
-	fmt.Fprintf(h, "removeracymp=%t\n", cfg.RemoveRacyMP)
+	h.Write(core.AppendConfig(nil, cfg, core.ScopeStatic))
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// writeConfig streams every result-relevant Config field with a stable tag.
-// Floats use %g (shortest round-trip form, deterministic in Go).
-func writeConfig(w io.Writer, cfg core.Config) {
-	fmt.Fprintf(w, "rounds=%d\n", cfg.Rounds)
-	fmt.Fprintf(w, "window.near=%d\n", cfg.Window.Near)
-	fmt.Fprintf(w, "window.perpaircap=%d\n", cfg.Window.PerPairCap)
-	fmt.Fprintf(w, "window.unsafeapis=%t\n", cfg.Window.UseUnsafeAPIs)
-	fmt.Fprintf(w, "solver.lambda=%g\n", cfg.Solver.Lambda)
-	fmt.Fprintf(w, "solver.rarecoef=%g\n", cfg.Solver.RareCoef)
-	fmt.Fprintf(w, "solver.threshold=%g\n", cfg.Solver.Threshold)
-	hyp := cfg.Solver.Hyp
-	fmt.Fprintf(w, "solver.hyp=%t,%t,%t,%t,%t,%t\n",
-		hyp.MostlyProtected, hyp.SyncsAreRare, hyp.AcqTimeVaries,
-		hyp.MostlyPaired, hyp.ReadAcqWriteRel, hyp.SingleRole)
-	fmt.Fprintf(w, "solver.keepracy=%t\n", cfg.Solver.KeepRacyWindows)
-	fmt.Fprintf(w, "solver.softsinglerole=%t\n", cfg.Solver.SoftSingleRole)
-	fmt.Fprintf(w, "solver.maxlpiters=%d\n", cfg.Solver.MaxLPIters)
-	// Per-role objective weights join the key only when they depart from
-	// the paper's uniform weighting, so every pre-weights job key — and the
-	// cache entries filed under them — stays addressable.
-	if ws := cfg.Solver.Weights; !ws.IsDefault() {
-		r := ws.Resolved()
-		fmt.Fprintf(w, "solver.weights=%g,%g\n", r.Acquire, r.Release)
-	}
-	fmt.Fprintf(w, "delay=%d\n", cfg.Delay)
-	fmt.Fprintf(w, "delayprob=%g\n", cfg.DelayProbability)
-	fmt.Fprintf(w, "seed=%d\n", cfg.Seed)
-	fmt.Fprintf(w, "accumulate=%t\n", cfg.Accumulate)
-	fmt.Fprintf(w, "injectdelays=%t\n", cfg.InjectDelays)
-	fmt.Fprintf(w, "removeracymp=%t\n", cfg.RemoveRacyMP)
-	fmt.Fprintf(w, "maxsteps=%d\n", cfg.MaxStepsPerTest)
-	// The scheduler step distribution joins the key only when it departs
-	// from the classic uniform draw ("" and sched.DistUniform dispatch
-	// identically), so every pre-dist job key — and the cache entries
-	// filed under them — stays addressable.
-	if cfg.StepDist != "" && cfg.StepDist != sched.DistUniform {
-		fmt.Fprintf(w, "sched.dist=%s\n", cfg.StepDist)
-	}
-	// Parallelism, ColdStart, OnRound, OnSnapshot intentionally omitted:
-	// they affect cost, not results.
 }

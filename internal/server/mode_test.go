@@ -29,11 +29,6 @@ func TestModeSpecKeyCompat(t *testing.T) {
 			mode:   JobSpec{Mode: "app", Target: "gen:42,profile=go"},
 		},
 		{
-			name:   "hybrid",
-			legacy: JobSpec{App: "App-3", Hybrid: true},
-			mode:   JobSpec{Mode: "hybrid", Target: "App-3"},
-		},
-		{
 			name:   "static",
 			legacy: JobSpec{StaticApp: "App-2"},
 			mode:   JobSpec{Mode: "static", Target: "App-2"},

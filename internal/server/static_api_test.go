@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"sherlock/internal/apps"
@@ -90,44 +92,32 @@ func TestStaticJob(t *testing.T) {
 	}
 }
 
-// TestHybridJob: a hybrid campaign's final inferred set must be
-// bit-identical to the plain campaign's, under a distinct content key.
+// TestHybridJob: hybrid mode was removed, and both spellings of a hybrid
+// request — mode "hybrid" and the legacy "hybrid": true flag — are
+// rejected as invalid arguments instead of silently running a plain
+// campaign.
 func TestHybridJob(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Inference.Rounds = 2
-	_, ts := startTestServer(t, cfg)
-
-	_, plain := postJob(t, ts.URL, JobSpec{App: "App-3"})
-	_, hybrid := postJob(t, ts.URL, JobSpec{App: "App-3", Hybrid: true})
-	if plain.Key == hybrid.Key {
-		t.Fatal("hybrid job shares the plain campaign's content key")
-	}
-	pd := waitDone(t, ts.URL, plain.ID)
-	hd := waitDone(t, ts.URL, hybrid.ID)
-	if pd.Status != string(StatusDone) || hd.Status != string(StatusDone) {
-		t.Fatalf("jobs ended %s/%s: %s %s", pd.Status, hd.Status, pd.Error, hd.Error)
-	}
-
-	var penv, henv resultEnvelope
-	if _, body := getBody(t, ts.URL+pd.ResultURL); json.Unmarshal(body, &penv) != nil {
-		t.Fatal("bad plain envelope")
-	}
-	if _, body := getBody(t, ts.URL+hd.ResultURL); json.Unmarshal(body, &henv) != nil {
-		t.Fatal("bad hybrid envelope")
-	}
-	if len(penv.Result.Inferred) == 0 {
-		t.Fatal("plain campaign inferred nothing")
-	}
-	pi, _ := json.Marshal(penv.Result.Inferred)
-	hi, _ := json.Marshal(henv.Result.Inferred)
-	if string(pi) != string(hi) {
-		t.Fatalf("hybrid final set diverges:\n%s\nvs\n%s", pi, hi)
-	}
-
-	// Hybrid on a non-campaign workload is a spec error.
-	resp, _ := postJob(t, ts.URL, JobSpec{StaticApp: "App-3", Hybrid: true})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("hybrid+static_app accepted: %d", resp.StatusCode)
+	_, ts := startTestServer(t, fastConfig())
+	for name, body := range map[string]string{
+		"mode":   `{"mode":"hybrid","target":"App-3"}`,
+		"legacy": `{"app":"App-3","hybrid":true}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var env struct {
+			Error struct{ Code, Message string } `json:"error"`
+		}
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("%s: bad error body %s", name, raw)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeInvalidArgument ||
+			!strings.Contains(env.Error.Message, "hybrid mode was removed") {
+			t.Errorf("%s: got %d %s, want 400 %s naming the removed mode", name, resp.StatusCode, raw, CodeInvalidArgument)
+		}
 	}
 }
 
@@ -143,7 +133,6 @@ func TestJobKeyFromConfigText(t *testing.T) {
 		{App: "App-1", Rounds: 5},
 		{App: "App-2", Lambda: 0.7, Seed: 42},
 		{App: "App-2", Near: 9000, MaxSteps: 1234},
-		{App: "App-4", Hybrid: true},
 		{TraceKeys: []string{"k1", "k2"}, Rounds: 2},
 	}
 	for _, spec := range specs {
@@ -152,9 +141,6 @@ func TestJobKeyFromConfigText(t *testing.T) {
 		if server != client {
 			t.Errorf("spec %+v: client key %s != server key %s", spec, client, server)
 		}
-	}
-	if JobKey(specs[0], specs[0].effectiveConfig(base)) == JobKey(specs[4], specs[4].effectiveConfig(base)) {
-		t.Error("hybrid flag does not separate content keys")
 	}
 }
 
